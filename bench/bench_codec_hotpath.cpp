@@ -5,10 +5,13 @@
 // baseline produces byte-identical streams — asserted on every run — so the
 // speedup columns compare two coders of the *same frozen format*.
 //
-// Two more comparisons ride along since the SIMD/sharding PR:
+// More comparisons ride along:
 //   * predict_quant_{interp,lorenzo} — the full predictor+quantizer compress
 //     of each codec with SIMD dispatch forced to scalar (baseline) vs the
 //     runtime-dispatched kernels (optimized); streams asserted byte-identical.
+//   * field_min_max — the value-range scan over the same field:
+//     std::minmax_element (baseline) vs FieldF::min_max's dispatched
+//     min_max_f32 kernel (optimized); results asserted bit-identical.
 //   * sharded_decode_tN — one brick-sized quant stream decoded from the
 //     frozen monolithic layout (baseline) vs the sharded layout on an
 //     explicit N-lane pool (optimized); bytes asserted identical.
@@ -16,13 +19,16 @@
 // Results land in BENCH_codec_hotpath.json
 // (stage, baseline_mb_s, optimized_mb_s, speedup); ci.sh runs this in its
 // bench-smoke step. The >= 3x canonical-Huffman decode target is gated here
-// with MRC_REQUIRE; ci.sh additionally gates quant_encode absolute MB/s and
-// the sharded-vs-monolithic decode speedup from the JSON.
+// with MRC_REQUIRE; ci.sh additionally gates quant_encode absolute MB/s, the
+// sharded-vs-monolithic decode speedup and the field_min_max speedup from
+// the JSON.
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
@@ -251,6 +257,25 @@ int main() {
     };
     pq_row("predict_quant_interp", InterpCompressor{});
     pq_row("predict_quant_lorenzo", LorenzoCompressor{});
+
+    // The value-range scan every relative error bound and every stored
+    // brick range pays: std::minmax_element (baseline) vs the dispatched
+    // min_max_f32 kernel behind FieldF::min_max (optimized), same field,
+    // same run; the two must agree bit for bit.
+    Row mm{.stage = "field_min_max"};
+    std::pair<float, float> ref_mm, simd_mm;
+    const double t_ref = best_seconds([&] {
+      const auto [lo, hi] = std::minmax_element(field.data(), field.data() + field.size());
+      ref_mm = {*lo, *hi};
+    });
+    const double t_simd = best_seconds([&] { simd_mm = field.min_max(); });
+    const auto bits = [](float v) { return std::bit_cast<std::uint32_t>(v); };
+    MRC_REQUIRE(bits(ref_mm.first) == bits(simd_mm.first) &&
+                    bits(ref_mm.second) == bits(simd_mm.second),
+                "min_max_f32 diverged from std::minmax_element");
+    mm.baseline_mb_s = mb(field_bytes) / t_ref;
+    mm.optimized_mb_s = mb(field_bytes) / t_simd;
+    rows.push_back(mm);
   }
 
   {  // sharded entropy decode: frozen monolithic layout vs the v7 sharded

@@ -524,7 +524,8 @@ tiled::RegionRead read_region(std::span<const std::byte> stream, const tiled::Bo
   const std::vector<index_t> need = bricks_for_region(idx, region);
 
   tiled::RegionRead out;
-  out.data = FieldF(region.extent());
+  // assemble_region writes every sample: the owner cores tile the region.
+  out.data = FieldF(region.extent(), uninit);
   out.tiles_total = idx.bricks.size();
   out.tiles_decoded = need.size();
 

@@ -357,7 +357,9 @@ Bytes InterpCompressor::compress(const FieldF& f, double abs_eb) const {
   const Dim3 d = f.dims();
   const auto radius = cfg_.quant_radius;
 
-  FieldF recon(d);
+  // traverse() writes every sample, and predicts only from samples it has
+  // already written, so the reconstruction needs no zero-fill.
+  FieldF recon(d, uninit);
   // Per-lane scratch: tiled/pyramid/adaptive containers run one compress per
   // brick on an exec-pool lane, so these buffers are reused across bricks
   // instead of reallocated for each one. 64-byte aligned so the SIMD row
@@ -444,10 +446,12 @@ FieldF InterpCompressor::decompress(std::span<const std::byte> stream) const {
     if (outlier_raw.size() % sizeof(float) != 0)
       throw CodecError("interp: bad outlier blob");
     outliers.resize(outlier_raw.size() / sizeof(float));
-    std::memcpy(outliers.data(), outlier_raw.data(), outlier_raw.size());
+    // Zero outliers: outliers.data() may be null.
+    if (!outliers.empty())
+      std::memcpy(outliers.data(), outlier_raw.data(), outlier_raw.size());
   }
 
-  FieldF recon(h.dims);
+  FieldF recon(h.dims, uninit);  // every sample written by the sweep (see compress)
   OBS_SPAN("interp.predict_recon", &ns_pq);
   predict_recon_pass(h.dims, h.eb, cfg, recon, codes, outliers);
   return recon;

@@ -135,7 +135,10 @@ Bytes LorenzoCompressor::compress(const FieldF& f, double abs_eb) const {
   const CoeffQuant cq{abs_eb / 2.0, abs_eb / (2.0 * static_cast<double>(bs))};
   const LinearQuantizer quant{abs_eb, cfg_.quant_radius};
 
-  FieldF recon(d);
+  // Every block writes all of its samples, and the Lorenzo stencil reads
+  // only samples of earlier blocks or earlier in the block (or none below
+  // the chunk's zmin), so the reconstruction needs no zero-fill.
+  FieldF recon(d, uninit);
   std::vector<ChunkStream> chunks(static_cast<std::size_t>(n_chunks));
   const float* orig = f.data();
 
@@ -309,7 +312,7 @@ FieldF LorenzoCompressor::decompress(std::span<const std::byte> stream) const {
     ci.outliers = r.get_blob();
   }
 
-  FieldF recon(d);
+  FieldF recon(d, uninit);  // every sample written by its chunk (see compress)
 
   exec::ThreadPool pool(std::min(n_chunks, exec::hardware_threads()));
   pool.parallel_for(n_chunks, [&](index_t c) {
@@ -348,8 +351,12 @@ FieldF LorenzoCompressor::decompress(std::span<const std::byte> stream) const {
     {
       OBS_SPAN("lorenzo.lossless", &ns_ll);
       const auto outlier_raw = lossless::lzss_decompress(ci_in.outliers);
+      if (outlier_raw.size() % sizeof(float) != 0)
+        throw CodecError("lorenzo: bad outlier blob");
       outliers.resize(outlier_raw.size() / sizeof(float));
-      std::memcpy(outliers.data(), outlier_raw.data(), outlier_raw.size());
+      // Zero outliers: outliers.data() may be null.
+      if (!outliers.empty())
+        std::memcpy(outliers.data(), outlier_raw.data(), outlier_raw.size());
     }
 
     std::size_t code_pos = 0, outlier_pos = 0;

@@ -1,6 +1,8 @@
 #include "compressors/simd_kernels.h"
 
+#include <algorithm>
 #include <atomic>
+#include <iterator>
 
 #include "compressors/simd_kernels_scalar.h"
 
@@ -54,10 +56,15 @@ void sc_dequantize_plane(const std::uint32_t* codes, std::size_t n, double m, do
   s_dequantize_plane(codes, n, m, gx, ci, aj, ak, eb, radius, recon, outliers, pos);
 }
 
+bool sc_min_max_f32(const float* p, std::size_t n, float& lo, float& hi) {
+  lo = hi = p[0];
+  return s_min_max_f32(p, n, lo, hi);
+}
+
 constexpr KernelTable kScalarTable = {
     sc_quantize_linear,   sc_quantize_cubic,   sc_quantize_constant,
     sc_quantize_plane,    sc_dequantize_linear, sc_dequantize_cubic,
-    sc_dequantize_constant, sc_dequantize_plane,
+    sc_dequantize_constant, sc_dequantize_plane, sc_min_max_f32,
 };
 
 const KernelTable* table_for(Isa isa) {
@@ -173,6 +180,21 @@ void dequantize_row_plane(const std::uint32_t* codes, std::size_t n, double m, d
                           std::size_t& outlier_pos) {
   active()->dequantize_plane(codes, n, m, gx, ci, aj, ak, eb, radius, recon, outliers,
                              outlier_pos);
+}
+
+std::pair<float, float> min_max_f32(const float* p, std::size_t n) {
+  MRC_REQUIRE(n >= 1, "min_max of empty range");
+  float lo = 0.0f, hi = 0.0f;
+  if (!active()->min_max_f32(p, n, lo, hi)) {  // saw a NaN: only the reference order is exact
+    const auto [a, b] = std::minmax_element(p, p + n);
+    return {*a, *b};
+  }
+  // +0 and -0 compare equal, so the vector pass cannot say which zero
+  // std::minmax_element returns: the first zero for the min, the last for the max.
+  if (lo == 0.0f) lo = *std::find(p, p + n, 0.0f);
+  if (hi == 0.0f)
+    hi = *std::find(std::make_reverse_iterator(p + n), std::make_reverse_iterator(p), 0.0f);
+  return {lo, hi};
 }
 
 }  // namespace mrc::simd

@@ -1,6 +1,8 @@
 #pragma once
 
-// Runtime-dispatched SIMD kernels for the predictor+quantizer hot loops.
+// Runtime-dispatched SIMD kernels for the predictor+quantizer hot loops,
+// plus the exact float min/max every relative error bound and every stored
+// brick range starts from.
 //
 // The prediction-based codecs (interp, lorenzo) spend their time in rows of
 // the same four shapes: a row-uniform prediction (linear / cubic / constant
@@ -27,6 +29,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <utility>
 
 #include "common/aligned.h"
 
@@ -91,6 +94,17 @@ void dequantize_row_plane(const std::uint32_t* codes, std::size_t n, double m,
                           std::uint32_t radius, float* recon,
                           std::span<const float> outliers, std::size_t& outlier_pos);
 
+/// Minimum and maximum of p[0..n), n >= 1, equal to what
+/// std::minmax_element(p, p + n) returns: the first smallest and the last
+/// largest element. The kernels fold vectors with min/max instructions,
+/// which give the same value but not the same element on ties; the only
+/// floats that tie without being bit-equal are +0 and -0, so a min of ±0
+/// becomes the first zero in p and a max of ±0 the last one (early-exit
+/// scans from either end). A NaN anywhere makes the
+/// reference's answer depend on its pairwise scan order, so a vector pass
+/// that sees one rescans the same way.
+[[nodiscard]] std::pair<float, float> min_max_f32(const float* p, std::size_t n);
+
 namespace detail {
 
 /// Per-ISA entry points. A null table means the ISA is not compiled in.
@@ -120,6 +134,9 @@ struct KernelTable {
   void (*dequantize_plane)(const std::uint32_t*, std::size_t, double, double,
                            double, double, double, double, std::uint32_t, float*,
                            std::span<const float>, std::size_t&);
+  /// Unordered min/max of p[0..n) into lo/hi; false when any element is NaN
+  /// (lo/hi are then meaningless).
+  bool (*min_max_f32)(const float*, std::size_t, float&, float&);
 };
 
 /// Defined in simd_kernels_sse2.cpp / simd_kernels_avx2.cpp; nullptr when

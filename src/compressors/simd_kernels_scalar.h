@@ -165,4 +165,34 @@ inline void s_dequantize_plane(const std::uint32_t* codes, std::size_t n, double
   }
 }
 
+/// Folds p[i..n) into the running lo/hi with the compare-select min/max
+/// (v < lo ? v : lo, the x86 minss/maxss semantics); returns false when an
+/// element is NaN. Four independent accumulators break the compare chain.
+inline bool s_min_max_f32(const float* p, std::size_t n, float& lo, float& hi,
+                          std::size_t i = 0) {
+  float l[4] = {lo, lo, lo, lo};
+  float h[4] = {hi, hi, hi, hi};
+  bool nan = false;
+  for (; i + 4 <= n; i += 4)
+    for (std::size_t k = 0; k < 4; ++k) {
+      const float v = p[i + k];
+      l[k] = v < l[k] ? v : l[k];
+      h[k] = h[k] < v ? v : h[k];
+      nan |= v != v;
+    }
+  for (; i < n; ++i) {
+    const float v = p[i];
+    l[0] = v < l[0] ? v : l[0];
+    h[0] = h[0] < v ? v : h[0];
+    nan |= v != v;
+  }
+  for (std::size_t k = 1; k < 4; ++k) {
+    l[0] = l[k] < l[0] ? l[k] : l[0];
+    h[0] = h[0] < h[k] ? h[k] : h[0];
+  }
+  lo = l[0];
+  hi = h[0];
+  return !nan;
+}
+
 }  // namespace mrc::simd::detail

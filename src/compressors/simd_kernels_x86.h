@@ -348,9 +348,63 @@ void k_dequantize_plane(const std::uint32_t* codes, std::size_t n, double m, dou
   sd::s_dequantize_plane(codes, n, m, gx, ci, aj, ak, eb, radius, recon, outliers, pos, i);
 }
 
+// Float min/max: one register of floats per load, four loads per step so
+// four independent min and max chains hide the instruction latency. A NaN
+// is detected with unordered compares (minps/maxps would silently drop it)
+// and reported instead of folded; the dispatcher then rescans.
+#if MRC_SIMD_AVX2
+using vf = __m256;
+inline vf vf_load(const float* p) { return _mm256_loadu_ps(p); }
+inline vf vf_min(vf a, vf b) { return _mm256_min_ps(a, b); }
+inline vf vf_max(vf a, vf b) { return _mm256_max_ps(a, b); }
+inline vf vf_or(vf a, vf b) { return _mm256_or_ps(a, b); }
+inline vf vf_unord(vf a, vf b) { return _mm256_cmp_ps(a, b, _CMP_UNORD_Q); }
+inline int vf_any(vf m) { return _mm256_movemask_ps(m); }
+inline void vf_store(float* p, vf a) { _mm256_storeu_ps(p, a); }
+#else
+using vf = __m128;
+inline vf vf_load(const float* p) { return _mm_loadu_ps(p); }
+inline vf vf_min(vf a, vf b) { return _mm_min_ps(a, b); }
+inline vf vf_max(vf a, vf b) { return _mm_max_ps(a, b); }
+inline vf vf_or(vf a, vf b) { return _mm_or_ps(a, b); }
+inline vf vf_unord(vf a, vf b) { return _mm_cmpunord_ps(a, b); }
+inline int vf_any(vf m) { return _mm_movemask_ps(m); }
+inline void vf_store(float* p, vf a) { _mm_storeu_ps(p, a); }
+#endif
+
+bool k_min_max_f32(const float* p, std::size_t n, float& lo, float& hi) {
+  constexpr std::size_t kW = sizeof(vf) / sizeof(float);
+  constexpr std::size_t kStep = 4 * kW;
+  lo = hi = p[0];
+  std::size_t i = 0;
+  if (n >= kStep) {
+    vf l0 = vf_load(p), l1 = vf_load(p + kW), l2 = vf_load(p + 2 * kW),
+       l3 = vf_load(p + 3 * kW);
+    vf h0 = l0, h1 = l1, h2 = l2, h3 = l3;
+    vf nan = vf_or(vf_unord(l0, l1), vf_unord(l2, l3));
+    for (i = kStep; i + kStep <= n; i += kStep) {
+      const vf a = vf_load(p + i), b = vf_load(p + i + kW);
+      const vf c = vf_load(p + i + 2 * kW), d = vf_load(p + i + 3 * kW);
+      l0 = vf_min(l0, a); l1 = vf_min(l1, b); l2 = vf_min(l2, c); l3 = vf_min(l3, d);
+      h0 = vf_max(h0, a); h1 = vf_max(h1, b); h2 = vf_max(h2, c); h3 = vf_max(h3, d);
+      nan = vf_or(nan, vf_or(vf_unord(a, b), vf_unord(c, d)));
+    }
+    if (vf_any(nan) != 0) return false;
+    float ls[kW], hs[kW];
+    vf_store(ls, vf_min(vf_min(l0, l1), vf_min(l2, l3)));
+    vf_store(hs, vf_max(vf_max(h0, h1), vf_max(h2, h3)));
+    for (std::size_t k = 0; k < kW; ++k) {
+      lo = ls[k] < lo ? ls[k] : lo;
+      hi = hi < hs[k] ? hs[k] : hi;
+    }
+  }
+  return sd::s_min_max_f32(p, n, lo, hi, i);
+}
+
 inline constexpr mrc::simd::detail::KernelTable kTable = {
     k_quantize_linear,   k_quantize_cubic,   k_quantize_constant,   k_quantize_plane,
     k_dequantize_linear, k_dequantize_cubic, k_dequantize_constant, k_dequantize_plane,
+    k_min_max_f32,
 };
 
 }  // namespace mrc::simd::MRC_SIMD_NS

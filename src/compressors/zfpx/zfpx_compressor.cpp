@@ -24,14 +24,24 @@ void fwd_lift(std::int32_t* p, std::ptrdiff_t s) {
   p[0 * s] = x; p[1 * s] = y; p[2 * s] = z; p[3 * s] = w;
 }
 
+// Decoded coefficients come from the stream, so a corrupt one can overflow
+// int32 here. The lift therefore runs in wrapping uint32 arithmetic, which
+// produces the same two's-complement bits as the signed code did on valid
+// streams; >> stays an arithmetic shift of the signed value.
 void inv_lift(std::int32_t* p, std::ptrdiff_t s) {
-  std::int32_t x = p[0 * s], y = p[1 * s], z = p[2 * s], w = p[3 * s];
-  y += w >> 1; w -= y >> 1;
+  using u32 = std::uint32_t;
+  const auto sar1 = [](u32 v) {
+    return static_cast<u32>(static_cast<std::int32_t>(v) >> 1);
+  };
+  u32 x = static_cast<u32>(p[0 * s]), y = static_cast<u32>(p[1 * s]);
+  u32 z = static_cast<u32>(p[2 * s]), w = static_cast<u32>(p[3 * s]);
+  y += sar1(w); w -= sar1(y);
   y += w; w <<= 1; w -= y;
   z += x; x <<= 1; x -= z;
   y += z; z <<= 1; z -= y;
   w += x; x <<= 1; x -= w;
-  p[0 * s] = x; p[1 * s] = y; p[2 * s] = z; p[3 * s] = w;
+  p[0 * s] = static_cast<std::int32_t>(x); p[1 * s] = static_cast<std::int32_t>(y);
+  p[2 * s] = static_cast<std::int32_t>(z); p[3 * s] = static_cast<std::int32_t>(w);
 }
 
 const std::array<std::uint8_t, 64>& sequency_perm() {
@@ -123,7 +133,7 @@ void encode_block(lossless::BitWriter& bw, const float* vals, double eb_log2_flo
       x |= static_cast<std::uint64_t>((nb[static_cast<std::size_t>(i)] >> k) & 1u) << i;
 
     bw.write_bits(x, static_cast<int>(n));
-    x >>= n;
+    x = n < 64 ? x >> n : 0;  // n == 64: every bit already sent
     std::uint32_t idx = n;
     while (idx < 64) {
       const bool any = x != 0;
@@ -276,7 +286,9 @@ FieldF ZfpxCompressor::decompress(std::span<const std::byte> stream) const {
   std::vector<std::span<const std::byte>> chunk_in(static_cast<std::size_t>(n_chunks));
   for (auto& ci : chunk_in) ci = r.get_blob();
 
-  FieldF recon(d);
+  // The 4^3 blocks cover the field and scatter() writes each block's
+  // in-domain samples, so the output needs no zero-fill.
+  FieldF recon(d, uninit);
 
   exec::ThreadPool pool(std::min(n_chunks, exec::hardware_threads()));
   pool.parallel_for(n_chunks, [&](index_t c) {

@@ -161,29 +161,17 @@ struct Dataset::Impl {
                         std::vector<index_t>* hit_out = nullptr) {
     const tiled::Index& ti = lidx[static_cast<std::size_t>(level)];
     std::vector<index_t> hit = tiled::tiles_in_region(ti, box);
-    std::vector<BrickPtr> bricks(hit.size());
+    // Each lane copies its brick's core as soon as it holds the brick: the
+    // cores tile the box, so every sample is written exactly once and the
+    // output needs no zero-fill. The brick pointer is held for the copy, so
+    // the result stays exact even if the cache evicts the brick at once.
+    FieldF out(box.extent(), uninit);
     pool->parallel_for(static_cast<index_t>(hit.size()), [&](index_t i) {
-      const auto slot = static_cast<std::size_t>(i);
-      bricks[slot] = cache->fetch(key_of(level, hit[slot]),
-                                  [&] { return decode(level, hit[slot]); });
+      const index_t t = hit[static_cast<std::size_t>(i)];
+      const BrickPtr b =
+          cache->fetch(key_of(level, t), [&] { return decode(level, t); });
+      tiled::copy_core(ti, static_cast<std::size_t>(t), *b, box, out);
     });
-    FieldF out(box.extent());
-    for (std::size_t i = 0; i < hit.size(); ++i) {
-      const auto t = static_cast<std::size_t>(hit[i]);
-      const tiled::TileEntry& e = ti.tiles[t];
-      const FieldF& b = *bricks[i];
-      const Dim3 core = ti.core_extent(t);
-      const index_t x0 = std::max(e.origin.x, box.lo.x);
-      const index_t x1 = std::min(e.origin.x + core.nx, box.hi.x);
-      const index_t y0 = std::max(e.origin.y, box.lo.y);
-      const index_t y1 = std::min(e.origin.y + core.ny, box.hi.y);
-      const index_t z0 = std::max(e.origin.z, box.lo.z);
-      const index_t z1 = std::min(e.origin.z + core.nz, box.hi.z);
-      for (index_t z = z0; z < z1; ++z)
-        for (index_t y = y0; y < y1; ++y)
-          std::copy_n(&b.at(x0 - e.origin.x, y - e.origin.y, z - e.origin.z), x1 - x0,
-                      &out.at(x0 - box.lo.x, y - box.lo.y, z - box.lo.z));
-    }
     if (hit_out != nullptr) *hit_out = std::move(hit);
     return out;
   }
@@ -340,57 +328,38 @@ FieldF Dataset::read_region(int level, const tiled::Box& region) {
     }
     return window;
   }
-  const bool is_adaptive = im.kind == Kind::adaptive;
-  // For adaptive streams the hit set already includes the low-side
-  // contributors a seam-free blend needs, not just the owners.
-  const std::vector<index_t> hit =
-      is_adaptive
-          ? adaptive::bricks_for_region(im.aidx, region)
-          : tiled::tiles_in_region(im.lidx[static_cast<std::size_t>(level)], region);
-
-  // Fetch every brick through the shared cache: resident bricks are hits,
-  // in-flight decodes (another reader's, or a queued prefetch this read
-  // claims) are coalesced, the rest decode here — one decode per brick
-  // however many threads collide. Each brick is held locally so the result
-  // stays exact even if the cache immediately evicts it.
-  std::vector<BrickPtr> bricks(hit.size());
-  im.pool->parallel_for(static_cast<index_t>(hit.size()), [&](index_t i) {
-    const auto slot = static_cast<std::size_t>(i);
-    bricks[slot] = im.cache->fetch(im.key_of(level, hit[slot]),
-                                   [&] { return im.decode(level, hit[slot]); });
-  });
-
-  FieldF out(region.extent());
-  if (is_adaptive) {
+  std::vector<index_t> hit;
+  FieldF out;
+  if (im.kind == Kind::adaptive) {
+    // The hit set includes the low-side contributors a seam-free blend
+    // needs, not just the owners. Fetch every brick through the shared
+    // cache: resident bricks are hits, in-flight decodes (another reader's,
+    // or a queued prefetch this read claims) are coalesced, the rest decode
+    // here — one decode per brick however many threads collide. Each brick
+    // is held locally so the result stays exact even if the cache
+    // immediately evicts it.
+    hit = adaptive::bricks_for_region(im.aidx, region);
+    std::vector<BrickPtr> bricks(hit.size());
+    im.pool->parallel_for(static_cast<index_t>(hit.size()), [&](index_t i) {
+      const auto slot = static_cast<std::size_t>(i);
+      bricks[slot] = im.cache->fetch(im.key_of(level, hit[slot]),
+                                     [&] { return im.decode(level, hit[slot]); });
+    });
     // Assemble with the container's blend rule over the cached
-    // fine-resolution renditions — bit-identical to adaptive::read_region.
+    // fine-resolution renditions — bit-identical to adaptive::read_region,
+    // and like it writes every sample of the region.
     std::unordered_map<index_t, std::size_t> slot;
     slot.reserve(hit.size());
     for (std::size_t i = 0; i < hit.size(); ++i) slot.emplace(hit[i], i);
+    out = FieldF(region.extent(), uninit);
     adaptive::detail::assemble_region(
         im.aidx, region,
         [&](index_t t) -> const FieldF& { return *bricks[slot.at(t)]; }, out);
   } else {
-    // Assemble core ∩ region from every brick — the same ownership rule as
+    // Core ∩ region from every brick — the same ownership rule as
     // tiled::read_region, hence bit-identical output (tiled and pyramid
     // levels share the tile-index layout).
-    const tiled::Index& ti = im.lidx[static_cast<std::size_t>(level)];
-    for (std::size_t i = 0; i < hit.size(); ++i) {
-      const auto t = static_cast<std::size_t>(hit[i]);
-      const tiled::TileEntry& e = ti.tiles[t];
-      const FieldF& b = *bricks[i];
-      const Dim3 core = ti.core_extent(t);
-      const index_t x0 = std::max(e.origin.x, region.lo.x);
-      const index_t x1 = std::min(e.origin.x + core.nx, region.hi.x);
-      const index_t y0 = std::max(e.origin.y, region.lo.y);
-      const index_t y1 = std::min(e.origin.y + core.ny, region.hi.y);
-      const index_t z0 = std::max(e.origin.z, region.lo.z);
-      const index_t z1 = std::min(e.origin.z + core.nz, region.hi.z);
-      for (index_t z = z0; z < z1; ++z)
-        for (index_t y = y0; y < y1; ++y)
-          std::copy_n(&b.at(x0 - e.origin.x, y - e.origin.y, z - e.origin.z), x1 - x0,
-                      &out.at(x0 - region.lo.x, y - region.lo.y, z - region.lo.z));
-    }
+    out = im.assemble_level(level, region, &hit);
   }
 
   // Single-lane pools would run "async" prefetch inline and make every read

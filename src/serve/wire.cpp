@@ -97,6 +97,16 @@ void put_box(ByteWriter& w, const tiled::Box& box) {
   w.put<std::int64_t>(box.hi.z);
 }
 
+/// A field of extents `d` holding the f32 payload `raw`, whose size the
+/// caller has already checked against `d`. Every sample comes from `raw`,
+/// so the field is allocated uninitialised.
+FieldF field_from_payload(Dim3 d, std::span<const std::byte> raw) {
+  FieldF f(d, uninit);
+  // An empty box carries no samples, and then both pointers may be null.
+  if (!raw.empty()) std::memcpy(f.data(), raw.data(), raw.size());
+  return f;
+}
+
 tiled::Box get_box(ByteReader& r) {
   std::int64_t v[6];
   for (auto& x : v) x = r.get<std::int64_t>();
@@ -137,9 +147,7 @@ FieldF decode_region_ok(std::span<const std::byte> body) {
                "region payload does not match its extents");
   const std::span<const std::byte> raw =
       r.get_bytes(static_cast<std::size_t>(product) * sizeof(float));
-  std::vector<float> data(static_cast<std::size_t>(product));
-  std::memcpy(data.data(), raw.data(), raw.size());
-  return FieldF{Dim3{nx, ny, nz}, std::move(data)};
+  return field_from_payload(Dim3{nx, ny, nz}, raw);
 }
 
 Bytes encode_progressive_ok(const ProgressiveLayer& layer) {
@@ -189,9 +197,7 @@ ProgressiveLayer decode_progressive_ok(std::span<const std::byte> body) {
                "progressive payload does not match its box");
   const std::span<const std::byte> raw =
       r.get_bytes(static_cast<std::size_t>(product) * sizeof(float));
-  std::vector<float> data(static_cast<std::size_t>(product));
-  std::memcpy(data.data(), raw.data(), raw.size());
-  layer.data = FieldF{ext, std::move(data)};
+  layer.data = field_from_payload(ext, raw);
   return layer;
 }
 

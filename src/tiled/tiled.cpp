@@ -70,6 +70,22 @@ std::vector<index_t> tiles_in_region(const Index& idx, const Box& region) {
   return hit;
 }
 
+void copy_core(const Index& idx, std::size_t t, const FieldF& b, const Box& region,
+               FieldF& out) {
+  const TileEntry& e = idx.tiles[t];
+  const Dim3 core = idx.core_extent(t);
+  const index_t x0 = std::max(e.origin.x, region.lo.x);
+  const index_t x1 = std::min(e.origin.x + core.nx, region.hi.x);
+  const index_t y0 = std::max(e.origin.y, region.lo.y);
+  const index_t y1 = std::min(e.origin.y + core.ny, region.hi.y);
+  const index_t z0 = std::max(e.origin.z, region.lo.z);
+  const index_t z1 = std::min(e.origin.z + core.nz, region.hi.z);
+  for (index_t z = z0; z < z1; ++z)
+    for (index_t y = y0; y < y1; ++y)
+      std::copy_n(&b.at(x0 - e.origin.x, y - e.origin.y, z - e.origin.z), x1 - x0,
+                  &out.at(x0 - region.lo.x, y - region.lo.y, z - region.lo.z));
+}
+
 Dim3 Index::core_extent(std::size_t t) const {
   const Coord3 tc = tile_coord(grid, static_cast<index_t>(t));
   return {std::min(brick, dims.nx - tc.x * brick), std::min(brick, dims.ny - tc.y * brick),
@@ -107,7 +123,7 @@ Bytes compress(const FieldF& f, double abs_eb, const Config& cfg) {
     // Per-lane brick buffer: lent to a FieldF for the codec call and taken
     // back afterwards, so gathering N bricks costs one allocation per lane
     // instead of one per brick.
-    thread_local std::vector<float> brick_scratch;
+    thread_local FieldF::Storage brick_scratch;
     brick_scratch.resize(static_cast<std::size_t>(s.size()));
     FieldF b(s, std::move(brick_scratch));
     for (index_t z = 0; z < s.nz; ++z)
@@ -243,7 +259,9 @@ RegionRead read_region(std::span<const std::byte> stream, const Box& region, int
   const std::vector<index_t> hit = tiles_in_region(idx, region);
 
   RegionRead out;
-  out.data = FieldF(region.extent());
+  // The brick cores tile the region, so every sample is written by exactly
+  // one lane's copy_core: no zero-fill, and the pages fault in on the lanes.
+  out.data = FieldF(region.extent(), uninit);
   out.tiles_total = idx.tiles.size();
   out.tiles_decoded = hit.size();
 
@@ -251,21 +269,7 @@ RegionRead read_region(std::span<const std::byte> stream, const Box& region, int
   exec::ThreadPool pool(threads);
   pool.parallel_for(static_cast<index_t>(hit.size()), [&](index_t i) {
     const auto t = static_cast<std::size_t>(hit[static_cast<std::size_t>(i)]);
-    const FieldF b = decode_tile(idx, *codec, stream, t);
-    const TileEntry& e = idx.tiles[t];
-    const Dim3 core = idx.core_extent(t);
-    // Copy core ∩ region; every output sample comes from its owning brick's
-    // core, so the result is bit-identical to a full decompress.
-    const index_t x0 = std::max(e.origin.x, region.lo.x);
-    const index_t x1 = std::min(e.origin.x + core.nx, region.hi.x);
-    const index_t y0 = std::max(e.origin.y, region.lo.y);
-    const index_t y1 = std::min(e.origin.y + core.ny, region.hi.y);
-    const index_t z0 = std::max(e.origin.z, region.lo.z);
-    const index_t z1 = std::min(e.origin.z + core.nz, region.hi.z);
-    for (index_t z = z0; z < z1; ++z)
-      for (index_t y = y0; y < y1; ++y)
-        std::copy_n(&b.at(x0 - e.origin.x, y - e.origin.y, z - e.origin.z), x1 - x0,
-                    &out.data.at(x0 - region.lo.x, y - region.lo.y, z - region.lo.z));
+    copy_core(idx, t, decode_tile(idx, *codec, stream, t), region, out.data);
   });
   return out;
 }

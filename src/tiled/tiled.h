@@ -136,6 +136,14 @@ struct RegionRead {
 /// exactly the bricks a region read must decode.
 [[nodiscard]] std::vector<index_t> tiles_in_region(const Index& idx, const Box& region);
 
+/// Copies core(t) ∩ `region` of the decoded brick `b` into `out`, whose
+/// extents are region.extent(). Brick cores partition the field, so copying
+/// every brick tiles_in_region returns writes each sample of `out` exactly
+/// once, from its owning brick: bit-identical to a full decompress, and
+/// safe to run for distinct bricks concurrently.
+void copy_core(const Index& idx, std::size_t t, const FieldF& b, const Box& region,
+               FieldF& out);
+
 /// Tile-grid coordinate of tile id `t` (ids are x fastest).
 [[nodiscard]] Coord3 tile_coord(const Dim3& grid, index_t t);
 

@@ -68,7 +68,7 @@ TEST(Field3D, MinMaxAndRange) {
 }
 
 TEST(Field3D, VectorConstructorValidatesSize) {
-  std::vector<float> v(7, 0.0f);
+  FieldF::Storage v(7, 0.0f);
   EXPECT_THROW(FieldF({2, 2, 2}, std::move(v)), ContractError);
 }
 

@@ -99,14 +99,17 @@ INSTANTIATE_TEST_SUITE_P(AllCodecs, CodecMonotonicity, ::testing::Values(0, 1, 2
 // ---------------------------------------------------------------------------
 
 struct QuantSweep {
-  std::uint32_t radius;
+  // 64-bit so the struct has no padding: GoogleTest names each case after the
+  // parameter's raw bytes, and padding bytes are indeterminate.
+  std::uint64_t radius;
   double zero_fraction;
 };
 
 class QuantCodecSweep : public ::testing::TestWithParam<QuantSweep> {};
 
 TEST_P(QuantCodecSweep, ExactRoundTrip) {
-  const auto [radius, zero_fraction] = GetParam();
+  const auto radius = static_cast<std::uint32_t>(GetParam().radius);
+  const double zero_fraction = GetParam().zero_fraction;
   Rng rng(radius * 13 + static_cast<std::uint64_t>(zero_fraction * 100));
   std::vector<std::uint32_t> codes;
   for (int i = 0; i < 20000; ++i) {

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstring>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -324,6 +327,139 @@ TEST(CodecScratch, TrimKeepsSmallDropsLarge) {
   big.reserve((mrc::detail::kScratchKeepBytes / sizeof(std::uint32_t)) + 1);
   mrc::detail::trim_scratch(big);
   EXPECT_EQ(big.capacity(), 0u);  // over the cap: released
+}
+
+// ---------------------------------------------------------------------------
+// min_max_f32: the exact std::minmax_element contract on every ISA.
+// ---------------------------------------------------------------------------
+
+/// Checks min_max_f32 (and FieldF::min_max) against std::minmax_element bit
+/// for bit — so a ±0 tie must pick the same zero, and a NaN input the same
+/// element — under every ISA this machine can run.
+void expect_min_max_exact(const std::vector<float>& v, const std::string& what) {
+  const auto [rlo, rhi] = std::minmax_element(v.begin(), v.end());
+  const FieldF f(Dim3{static_cast<index_t>(v.size()), 1, 1},
+                 FieldF::Storage(v.begin(), v.end()));
+  for (const Isa isa : available_isas()) {
+    const IsaScope s(isa);
+    const auto [lo, hi] = min_max_f32(v.data(), v.size());
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(lo), std::bit_cast<std::uint32_t>(*rlo))
+        << what << " n=" << v.size() << " isa=" << isa_name(isa) << " min";
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(hi), std::bit_cast<std::uint32_t>(*rhi))
+        << what << " n=" << v.size() << " isa=" << isa_name(isa) << " max";
+    const auto [flo, fhi] = f.min_max();
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(flo), std::bit_cast<std::uint32_t>(lo));
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(fhi), std::bit_cast<std::uint32_t>(hi));
+  }
+}
+
+TEST(SimdMinMax, RandomValuesEveryTailLength) {
+  Rng rng(21);
+  // 1..67 covers empty and partial vector steps for 4- and 8-float lanes;
+  // the longer lengths run the unrolled loop many times over.
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 1; n <= 67; ++n) lengths.push_back(n);
+  for (const std::size_t n : {128u, 1000u, 4099u}) lengths.push_back(n);
+  for (const std::size_t n : lengths) {
+    std::vector<float> v(n);
+    for (auto& x : v) x = static_cast<float>(100.0 * rng.normal());
+    expect_min_max_exact(v, "random");
+    // Extremes planted at the first and last element.
+    v.front() = -1e30f;
+    v.back() = 1e30f;
+    expect_min_max_exact(v, "planted");
+  }
+}
+
+TEST(SimdMinMax, SignedZeroTiesInBothOrders) {
+  Rng rng(22);
+  for (std::size_t n = 1; n <= 67; ++n)
+    for (const float other : {1.0f, -1.0f}) {
+      // Zeros of random sign among values on one side of zero: the zero
+      // is the min (other > 0) or the max (other < 0), tied many times.
+      std::vector<float> v(n);
+      for (auto& x : v) {
+        const double u = rng.uniform();
+        x = u < 0.35 ? 0.0f : u < 0.7 ? -0.0f : other;
+      }
+      expect_min_max_exact(v, "mixed zeros");
+      // Both fixed orders of one +0/-0 tie, padded with the other value.
+      std::vector<float> w(n, other);
+      w.front() = 0.0f;
+      w.back() = -0.0f;
+      expect_min_max_exact(w, "+0 .. -0");
+      w.front() = -0.0f;
+      w.back() = 0.0f;
+      expect_min_max_exact(w, "-0 .. +0");
+    }
+  expect_min_max_exact(std::vector<float>(40, -0.0f), "all -0");
+  std::vector<float> alt(41);
+  for (std::size_t i = 0; i < alt.size(); ++i) alt[i] = i % 2 ? -0.0f : 0.0f;
+  expect_min_max_exact(alt, "alternating zeros");
+}
+
+TEST(SimdMinMax, ZeroTieFoundAtTheFarEnd) {
+  // A ±0 min is looked up by a forward scan and a ±0 max by a backward one;
+  // here the deciding zero is the last element the scan can reach.
+  Rng rng(25);
+  const std::size_t n = 100003;
+  std::vector<float> pos(n);
+  for (auto& x : pos) x = static_cast<float>(1.0 + rng.uniform());
+  std::vector<float> v = pos;
+  v.back() = -0.0f;  // the only zero, so the min, at the forward scan's far end
+  expect_min_max_exact(v, "min zero last");
+  v.back() = 0.0f;
+  v[n - 2] = -0.0f;  // the first of two tied zeros is the min
+  expect_min_max_exact(v, "min zeros -0 then +0");
+
+  std::vector<float> w(n);
+  for (auto& x : w) x = static_cast<float>(-1.0 - rng.uniform());
+  w.front() = -0.0f;  // the only zero, so the max, at the backward scan's far end
+  expect_min_max_exact(w, "max zero first");
+  w.front() = 0.0f;
+  w[1] = -0.0f;  // the last of two tied zeros is the max
+  expect_min_max_exact(w, "max zeros +0 then -0");
+
+  // All zeros: the min is the first element (+0), the max the last (-0).
+  std::vector<float> z(n, -0.0f);
+  z.front() = 0.0f;
+  expect_min_max_exact(z, "all zeros, +0 first");
+}
+
+TEST(SimdMinMax, NanFirstMiddleLast) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  Rng rng(23);
+  for (const std::size_t n : {1u, 2u, 5u, 16u, 33u, 64u, 67u, 200u}) {
+    std::vector<float> base(n);
+    for (auto& x : base) x = static_cast<float>(rng.normal());
+    for (const std::size_t pos : {std::size_t{0}, n / 2, n - 1}) {
+      std::vector<float> v = base;
+      v[pos] = nan;
+      expect_min_max_exact(v, "nan at " + std::to_string(pos));
+    }
+  }
+}
+
+TEST(SimdMinMax, InfinitiesDenormalsAndConstants) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float tiny = std::numeric_limits<float>::denorm_min();
+  Rng rng(24);
+  for (const std::size_t n : {1u, 7u, 32u, 67u, 300u}) {
+    std::vector<float> v(n);
+    for (auto& x : v) x = static_cast<float>(rng.normal());
+    v[n / 3] = inf;
+    v[(2 * n) / 3] = -inf;
+    expect_min_max_exact(v, "infinities");
+
+    std::vector<float> d(n);
+    for (std::size_t i = 0; i < n; ++i)
+      d[i] = static_cast<float>(static_cast<double>(i % 5) - 2.0) * tiny;  // ±denormals and ±0
+    expect_min_max_exact(d, "denormals");
+    for (std::size_t i = 0; i < n; ++i) d[i] = tiny * static_cast<float>(1 + i % 3);
+    expect_min_max_exact(d, "positive denormals");
+
+    expect_min_max_exact(std::vector<float>(n, 3.25f), "constant");
+  }
 }
 
 }  // namespace

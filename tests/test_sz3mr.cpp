@@ -35,6 +35,10 @@ struct PresetCase {
   const char* name;
 };
 
+// Without this GoogleTest prints (and names each case after) the raw bytes of
+// the parameter: Config padding and the name pointer, which vary run to run.
+void PrintTo(const PresetCase& p, std::ostream* os) { *os << p.name; }
+
 class Sz3mrPresets : public ::testing::TestWithParam<PresetCase> {};
 
 TEST_P(Sz3mrPresets, LevelRoundTripRespectsBound) {

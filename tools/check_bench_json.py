@@ -31,6 +31,7 @@ ROW_IDENTITY = {
             "sharded_decode_t1",
             "sharded_decode_t2",
             "sharded_decode_t4",
+            "field_min_max",
         },
     ),
 }

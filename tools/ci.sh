@@ -20,7 +20,8 @@
 # finally a bench
 # smoke step: bench_adaptive_ratio on a tiny grid (MRC_SCALE=13 -> 32^3) plus
 # bench_codec_hotpath (entropy hot path; gates >= 3x Huffman decode over the
-# bit-at-a-time baseline, >= 2x the pre-SIMD quant_encode throughput, and —
+# bit-at-a-time baseline, >= 2x the pre-SIMD quant_encode throughput, the
+# SIMD field min/max at >= 2x std::minmax_element in the same run, and —
 # on machines with >= 4 hardware threads — sharded entropy decode beating
 # the monolithic layout on a 4-lane pool), bench_server_load (multi-tenant Server under
 # concurrent wire clients; gates viewport-walk out-hitting random and
@@ -75,7 +76,7 @@ if [ "${MRC_SKIP_TSAN:-0}" != "1" ]; then
   # Only the concurrency-bearing suites: the serial codec/metric suites add
   # nothing under TSan but multiply its ~10x slowdown.
   "$TSAN_DIR"/mrc_tests \
-      --gtest_filter='ThreadPool.*:Tiled*:Pyramid*:Progressive*:Serve*:Server*:Wire*:Adaptive*:Obs*:Sharded*'
+      --gtest_filter='ThreadPool.*:Tiled*:Pyramid*:Progressive*:Serve*:Server*:Wire*:Adaptive*:Obs*:Sharded*:*RegionCoverage*'
 fi
 
 if [ "${MRC_SKIP_OBS:-0}" != "1" ]; then
@@ -205,6 +206,9 @@ if [ "${MRC_SKIP_BENCH:-0}" != "1" ]; then
   #     but only where 4 hardware threads exist; on smaller machines the
   #     pool is pure oversubscription and the row is informational.
   #     MRC_SHARDED_DECODE_MIN_SPEEDUP overrides the 1.0 bar; 0 disables.
+  #   * field_min_max: the dispatched min/max kernel must run at >= 2x
+  #     std::minmax_element over the same field in the same run (a ratio,
+  #     not an absolute MB/s figure).
   python3 - "$BUILD_DIR/bench/BENCH_codec_hotpath.json" \
       "${MRC_QUANT_ENCODE_MIN_MB_S:-579.6}" \
       "${MRC_SHARDED_DECODE_MIN_SPEEDUP:-1.0}" "$(nproc)" <<'PY'
@@ -213,6 +217,10 @@ import json, sys
 doc = json.load(open(sys.argv[1]))
 rows = {row["stage"]: row for row in doc["results"]}
 quant_min, shard_min, cores = float(sys.argv[2]), float(sys.argv[3]), int(sys.argv[4])
+mm = rows["field_min_max"]["speedup"]
+print(f"hotpath gate field_min_max: {mm:.2f}x over std::minmax_element (min 2.00x)")
+if mm < 2.0:
+    sys.exit("hotpath gate: field_min_max below the same-run speedup floor")
 
 qe = rows["quant_encode"]["optimized_mb_s"]
 print(f"hotpath gate quant_encode: {qe:.1f} MB/s (min {quant_min:.1f})")
