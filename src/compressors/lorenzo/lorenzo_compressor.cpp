@@ -8,6 +8,7 @@
 #include "exec/thread_pool.h"
 #include "compressors/quantizer.h"
 #include "compressors/simd_kernels.h"
+#include "compressors/simd_kernels_scalar.h"
 #include "lossless/bitstream.h"
 #include "lossless/lzss.h"
 #include "lossless/quant_codec.h"
@@ -17,6 +18,9 @@ namespace mrc {
 
 namespace {
 
+using simd::Plane;
+using simd::detail::lorenzo_pred;
+using simd::detail::lorenzo_pred_fast;
 
 std::uint64_t zigzag(std::int64_t v) {
   return (static_cast<std::uint64_t>(v) << 1) ^ static_cast<std::uint64_t>(v >> 63);
@@ -25,73 +29,17 @@ std::int64_t unzigzag(std::uint64_t v) {
   return static_cast<std::int64_t>(v >> 1) ^ -static_cast<std::int64_t>(v & 1);
 }
 
-/// Regression plane v ≈ m + gx*(i-ci) + gy*(j-cj) + gz*(k-ck), local coords.
-struct Plane {
-  double m = 0, gx = 0, gy = 0, gz = 0;
-};
-
-Plane fit_plane(const float* orig, const Dim3& d, index_t x0, index_t y0, index_t z0,
-                index_t ex, index_t ey, index_t ez) {
-  const double ci = (ex - 1) / 2.0, cj = (ey - 1) / 2.0, ck = (ez - 1) / 2.0;
-  double sum = 0, sx = 0, sy = 0, sz = 0;
-  for (index_t k = 0; k < ez; ++k)
-    for (index_t j = 0; j < ey; ++j) {
-      const float* row = orig + d.index(x0, y0 + j, z0 + k);
-      for (index_t i = 0; i < ex; ++i) {
-        const double v = row[i];
-        sum += v;
-        sx += v * (i - ci);
-        sy += v * (j - cj);
-        sz += v * (k - ck);
-      }
-    }
-  const double n = static_cast<double>(ex * ey * ez);
-  auto var1d = [](index_t e) { return static_cast<double>(e) * (e * e - 1) / 12.0; };
-  Plane p;
-  p.m = sum / n;
-  const double vx = var1d(ex) * ey * ez;
-  const double vy = var1d(ey) * ex * ez;
-  const double vz = var1d(ez) * ex * ey;
-  p.gx = vx > 0 ? sx / vx : 0.0;
-  p.gy = vy > 0 ? sy / vy : 0.0;
-  p.gz = vz > 0 ? sz / vz : 0.0;
-  return p;
+// Coefficient deltas wrap in two's complement. llround of an out-of-range
+// plane on encode, or a hostile stream on decode, can take a difference or
+// a running sum past the int64 range; unsigned arithmetic keeps that
+// defined, and the bytes equal the signed ones wherever nothing overflowed.
+std::int64_t wrapping_sub(std::int64_t a, std::int64_t b) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) -
+                                   static_cast<std::uint64_t>(b));
 }
-
-/// 3-D Lorenzo prediction from reconstructed data; positions below `zmin`
-/// (the chunk floor) or outside the domain contribute zero, so chunks stay
-/// independent.
-double lorenzo_pred(const float* recon, const Dim3& d, index_t x, index_t y, index_t z,
-                    index_t zmin) {
-  auto v = [&](index_t dx, index_t dy, index_t dz) -> double {
-    const index_t xx = x - dx, yy = y - dy, zz = z - dz;
-    if (xx < 0 || yy < 0 || zz < zmin) return 0.0;
-    return recon[d.index(xx, yy, zz)];
-  };
-  return v(1, 0, 0) + v(0, 1, 0) + v(0, 0, 1) - v(1, 1, 0) - v(1, 0, 1) - v(0, 1, 1) +
-         v(1, 1, 1);
-}
-
-/// Same stencil over the original data — the encoder-side estimate used for
-/// predictor selection (SZ2's trick: cheap, no reconstruction dependency).
-double lorenzo_pred_orig(const float* orig, const Dim3& d, index_t x, index_t y, index_t z,
-                         index_t zmin) {
-  return lorenzo_pred(orig, d, x, y, z, zmin);
-}
-
-/// Branch-free interior form of lorenzo_pred: valid when x >= 1, y >= 1 and
-/// z >= zmin+1, where all seven stencil neighbours exist and the 21 bounds
-/// checks of v() collapse to straight loads. Same terms, same left-to-right
-/// summation order — bit-identical to the checked form.
-double lorenzo_pred_fast(const float* recon, index_t idx, index_t sy, index_t sz) {
-  const double v100 = recon[idx - 1];
-  const double v010 = recon[idx - sy];
-  const double v001 = recon[idx - sz];
-  const double v110 = recon[idx - 1 - sy];
-  const double v101 = recon[idx - 1 - sz];
-  const double v011 = recon[idx - sy - sz];
-  const double v111 = recon[idx - 1 - sy - sz];
-  return v100 + v010 + v001 - v110 - v101 - v011 + v111;
+std::int64_t wrapping_add(std::int64_t a, std::int64_t b) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) +
+                                   static_cast<std::uint64_t>(b));
 }
 
 struct ChunkStream {
@@ -113,6 +61,172 @@ struct CoeffQuant {
   }
 };
 
+/// Per-lane buffers of predictor selection.
+struct SelectScratch {
+  std::vector<simd::BlockOrigin> origins;
+  std::vector<std::size_t> slots;
+  std::vector<simd::BlockFit> out;
+};
+
+/// Selects the predictor of every block of the z-slab [z0, z0+ez) that holds
+/// at least 8 samples, into fits[by * nbx + bx] (the others stay Lorenzo).
+/// The blocks reach the kernel grouped by shape (interior, x edge, y edge,
+/// corner), so its lanes always hold blocks of equal extents.
+void select_slab(const float* orig, const Dim3& d, index_t bs, index_t z0, index_t ez,
+                 index_t zmin, std::vector<simd::BlockFit>& fits, SelectScratch& s,
+                 simd::BlockScratch& scratch) {
+  const index_t nbx = ceil_div(d.nx, bs), nby = ceil_div(d.ny, bs);
+  fits.assign(static_cast<std::size_t>(nbx * nby), simd::BlockFit{});
+  // Block-index ranges [lo, hi) of the full blocks and of the edge block.
+  const index_t fx = d.nx / bs, fy = d.ny / bs;
+  const std::array<std::array<index_t, 2>, 2> xr{{{0, fx}, {fx, nbx}}};
+  const std::array<std::array<index_t, 2>, 2> yr{{{0, fy}, {fy, nby}}};
+  for (const auto& [by0, by1] : yr)
+    for (const auto& [bx0, bx1] : xr) {
+      if (by0 == by1 || bx0 == bx1) continue;
+      const index_t ey = std::min(bs, d.ny - by0 * bs);
+      const index_t ex = std::min(bs, d.nx - bx0 * bs);
+      if (ex * ey * ez < 8) continue;
+      s.origins.clear();
+      s.slots.clear();
+      for (index_t by = by0; by < by1; ++by)
+        for (index_t bx = bx0; bx < bx1; ++bx) {
+          s.origins.push_back({bx * bs, by * bs, z0});
+          s.slots.push_back(static_cast<std::size_t>(by * nbx + bx));
+        }
+      s.out.resize(s.origins.size());
+      simd::select_blocks(orig, d.nx, d.ny, zmin, s.origins.data(), s.origins.size(), ex,
+                          ey, ez, s.out.data(), scratch);
+      for (std::size_t t = 0; t < s.slots.size(); ++t) fits[s.slots[t]] = s.out[t];
+    }
+}
+
+/// Blocks of one chunk, by predictor.
+struct BlockTally {
+  std::uint64_t regression = 0, lorenzo = 0;
+};
+
+/// Predicts and quantizes the blocks of the chunk's z-slabs [bz0, bz1):
+/// one selection pass per slab, then the blocks in z, y, x order — a flag
+/// bit each, coefficient deltas and one gathered run per regression block,
+/// the loop-carried Lorenzo stencil over the reconstruction otherwise.
+/// Writes codes[] in block order and `rec` at every sample of the chunk.
+MRC_OBS_NOINLINE BlockTally encode_blocks(const LorenzoConfig& cfg, const float* orig,
+                                          const Dim3& d, index_t bz0, index_t bz1,
+                                          double abs_eb, lossless::BitWriter& flag_bits,
+                                          Bytes& coeff_bytes, std::uint32_t* codes,
+                                          float* rec, AlignedVec<float>& outliers) {
+  const index_t bs = cfg.block_size;
+  const index_t nbx = ceil_div(d.nx, bs), nby = ceil_div(d.ny, bs);
+  const index_t zmin = bz0 * bs;
+  const CoeffQuant cq{abs_eb / 2.0, abs_eb / (2.0 * static_cast<double>(bs))};
+  const LinearQuantizer quant{abs_eb, cfg.quant_radius};
+  ByteWriter coeff_writer(coeff_bytes);
+  thread_local std::vector<simd::BlockFit> fits;
+  thread_local SelectScratch sel;
+  thread_local simd::BlockScratch scratch;  // sized by the block, not the field
+  const detail::ScratchGuard gf(scratch.floats);
+  const detail::ScratchGuard gd(scratch.doubles);
+  std::array<std::int64_t, 4> prev_q{0, 0, 0, 0};
+  BlockTally tally;
+  for (index_t bz = bz0; bz < bz1; ++bz) {
+    const index_t z0 = bz * bs;
+    const index_t ez = std::min(bs, d.nz - z0);
+    if (cfg.use_regression) select_slab(orig, d, bs, z0, ez, zmin, fits, sel, scratch);
+    for (index_t by = 0; by < nby; ++by)
+      for (index_t bx = 0; bx < nbx; ++bx) {
+        const index_t x0 = bx * bs, y0 = by * bs;
+        const index_t ex = std::min(bs, d.nx - x0);
+        const index_t ey = std::min(bs, d.ny - y0);
+        const simd::BlockFit* fit =
+            cfg.use_regression ? &fits[static_cast<std::size_t>(by * nbx + bx)] : nullptr;
+        const bool use_reg = fit != nullptr && fit->use_reg();
+        flag_bits.write_bit(use_reg ? 1u : 0u);
+        if (use_reg) {
+          ++tally.regression;
+          const auto q = cq.quantize(fit->plane);
+          for (int t = 0; t < 4; ++t)
+            coeff_writer.put_varint(zigzag(wrapping_sub(q[t], prev_q[t])));
+          prev_q = q;
+          const index_t idx = d.index(x0, y0, z0);
+          simd::quantize_block_plane({d.nx, d.nx * d.ny, ex, ey, ez, cq.dequantize(q)},
+                                     orig + idx, abs_eb, cfg.quant_radius, codes,
+                                     rec + idx, outliers, scratch);
+          codes += ex * ey * ez;
+          continue;
+        }
+        ++tally.lorenzo;
+        for (index_t k = 0; k < ez; ++k)
+          for (index_t j = 0; j < ey; ++j) {
+            const bool interior_row = y0 + j >= 1 && z0 + k >= zmin + 1;
+            for (index_t i = 0; i < ex; ++i) {
+              const index_t idx = d.index(x0 + i, y0 + j, z0 + k);
+              const double pred =
+                  interior_row && x0 + i >= 1
+                      ? lorenzo_pred_fast(rec, idx, d.nx, d.nx * d.ny)
+                      : lorenzo_pred(rec, d.nx, d.ny, x0 + i, y0 + j, z0 + k, zmin);
+              *codes++ = quant.encode(orig[idx], pred, rec[idx], outliers);
+            }
+          }
+      }
+  }
+  return tally;
+}
+
+/// Inverse of encode_blocks: reconstructs the chunk's z-slabs [bz0, bz1)
+/// into `rec` from its flag bits, coefficient deltas, codes and outliers.
+/// Throws CodecError when the codes or outliers run out.
+MRC_OBS_NOINLINE void decode_blocks(const Dim3& d, index_t bs, index_t bz0, index_t bz1,
+                                    double eb, std::uint32_t radius,
+                                    lossless::BitReader& flag_bits, ByteReader& coeff_reader,
+                                    std::span<const std::uint32_t> codes,
+                                    std::span<const float> outliers, float* rec) {
+  const index_t nbx = ceil_div(d.nx, bs), nby = ceil_div(d.ny, bs);
+  const index_t zmin = bz0 * bs;
+  const CoeffQuant cq{eb / 2.0, eb / (2.0 * static_cast<double>(bs))};
+  const LinearQuantizer quant{eb, radius};
+  thread_local simd::BlockScratch scratch;
+  const detail::ScratchGuard gf(scratch.floats);
+  const detail::ScratchGuard gd(scratch.doubles);
+  std::size_t code_pos = 0, outlier_pos = 0;
+  std::array<std::int64_t, 4> prev_q{0, 0, 0, 0};
+  for (index_t bz = bz0; bz < bz1; ++bz)
+    for (index_t by = 0; by < nby; ++by)
+      for (index_t bx = 0; bx < nbx; ++bx) {
+        const index_t x0 = bx * bs, y0 = by * bs, z0 = bz * bs;
+        const index_t ex = std::min(bs, d.nx - x0);
+        const index_t ey = std::min(bs, d.ny - y0);
+        const index_t ez = std::min(bs, d.nz - z0);
+        const auto n = static_cast<std::size_t>(ex * ey * ez);
+        if (code_pos + n > codes.size()) throw CodecError("lorenzo: code underrun");
+
+        if (flag_bits.read_bit() != 0) {
+          std::array<std::int64_t, 4> q{};
+          for (int t = 0; t < 4; ++t)
+            q[t] = wrapping_add(prev_q[t], unzigzag(coeff_reader.get_varint()));
+          prev_q = q;
+          simd::dequantize_block_plane({d.nx, d.nx * d.ny, ex, ey, ez, cq.dequantize(q)},
+                                       codes.data() + code_pos, eb, radius,
+                                       rec + d.index(x0, y0, z0), outliers, outlier_pos,
+                                       scratch);
+          code_pos += n;
+          continue;
+        }
+        for (index_t k = 0; k < ez; ++k)
+          for (index_t j = 0; j < ey; ++j) {
+            const bool interior_row = y0 + j >= 1 && z0 + k >= zmin + 1;
+            for (index_t i = 0; i < ex; ++i) {
+              const index_t idx = d.index(x0 + i, y0 + j, z0 + k);
+              const double pred =
+                  interior_row && x0 + i >= 1
+                      ? lorenzo_pred_fast(rec, idx, d.nx, d.nx * d.ny)
+                      : lorenzo_pred(rec, d.nx, d.ny, x0 + i, y0 + j, z0 + k, zmin);
+              rec[idx] = quant.decode(codes[code_pos++], pred, outliers, outlier_pos);
+            }
+          }
+      }
+}
+
 }  // namespace
 
 LorenzoCompressor::LorenzoCompressor(LorenzoConfig cfg) : cfg_(cfg) {
@@ -132,8 +246,6 @@ Bytes LorenzoCompressor::compress(const FieldF& f, double abs_eb) const {
   const index_t bs = cfg_.block_size;
   const index_t nbz = ceil_div(d.nz, bs);
   const int n_chunks = static_cast<int>(std::min<index_t>(cfg_.chunks, nbz));
-  const CoeffQuant cq{abs_eb / 2.0, abs_eb / (2.0 * static_cast<double>(bs))};
-  const LinearQuantizer quant{abs_eb, cfg_.quant_radius};
 
   // Every block writes all of its samples, and the Lorenzo stencil reads
   // only samples of earlier blocks or earlier in the block (or none below
@@ -150,9 +262,8 @@ Bytes LorenzoCompressor::compress(const FieldF& f, double abs_eb) const {
 
     lossless::BitWriter flag_bits;
     Bytes coeff_bytes;
-    ByteWriter coeff_writer(coeff_bytes);
     // Per-lane scratch, reused when several chunks land on one pool lane;
-    // 64-byte aligned for the SIMD row kernels.
+    // 64-byte aligned for the SIMD kernels.
     thread_local AlignedVec<std::uint32_t> codes;
     thread_local AlignedVec<float> outliers;
     const detail::ScratchGuard gc(codes);
@@ -160,8 +271,6 @@ Bytes LorenzoCompressor::compress(const FieldF& f, double abs_eb) const {
     codes.resize(static_cast<std::size_t>(
         (std::min(bz1 * bs, d.nz) - zmin) * d.nx * d.ny));
     outliers.clear();
-    std::size_t emitted = 0;
-    std::array<std::int64_t, 4> prev_q{0, 0, 0, 0};
 
     static obs::Counter& ns_pq =
         obs::Registry::global().counter("mrc.codec.predict_quant_ns");
@@ -169,80 +278,17 @@ Bytes LorenzoCompressor::compress(const FieldF& f, double abs_eb) const {
         obs::Registry::global().counter("mrc.codec.entropy_ns");
     static obs::Counter& ns_ll =
         obs::Registry::global().counter("mrc.codec.lossless_ns");
+    static obs::Counter& blocks_reg =
+        obs::Registry::global().counter("mrc.codec.lorenzo.blocks_regression");
+    static obs::Counter& blocks_lor =
+        obs::Registry::global().counter("mrc.codec.lorenzo.blocks_lorenzo");
     {
       OBS_SPAN("lorenzo.predict_quant", &ns_pq);
-      for (index_t bz = bz0; bz < bz1; ++bz)
-        for (index_t by = 0; by < ceil_div(d.ny, bs); ++by)
-          for (index_t bx = 0; bx < ceil_div(d.nx, bs); ++bx) {
-            const index_t x0 = bx * bs, y0 = by * bs, z0 = bz * bs;
-            const index_t ex = std::min(bs, d.nx - x0);
-            const index_t ey = std::min(bs, d.ny - y0);
-            const index_t ez = std::min(bs, d.nz - z0);
-
-            // Predictor selection on original data.
-            bool use_reg = false;
-            Plane plane;
-            if (cfg_.use_regression && ex * ey * ez >= 8) {
-              plane = fit_plane(orig, d, x0, y0, z0, ex, ey, ez);
-              double err_reg = 0, err_lor = 0;
-              const double ci = (ex - 1) / 2.0, cj = (ey - 1) / 2.0, ck = (ez - 1) / 2.0;
-              for (index_t k = 0; k < ez; ++k)
-                for (index_t j = 0; j < ey; ++j)
-                  for (index_t i = 0; i < ex; ++i) {
-                    const double v = orig[d.index(x0 + i, y0 + j, z0 + k)];
-                    const double pr =
-                        plane.m + plane.gx * (i - ci) + plane.gy * (j - cj) + plane.gz * (k - ck);
-                    err_reg += std::abs(v - pr);
-                    err_lor += std::abs(
-                        v - lorenzo_pred_orig(orig, d, x0 + i, y0 + j, z0 + k, zmin));
-                  }
-              use_reg = err_reg < err_lor;
-            }
-            flag_bits.write_bit(use_reg ? 1u : 0u);
-
-            Plane qplane;
-            if (use_reg) {
-              const auto q = cq.quantize(plane);
-              for (int t = 0; t < 4; ++t) {
-                coeff_writer.put_varint(zigzag(q[t] - prev_q[t]));
-              }
-              prev_q = q;
-              qplane = cq.dequantize(q);
-            }
-
-            const double ci = (ex - 1) / 2.0, cj = (ey - 1) / 2.0, ck = (ez - 1) / 2.0;
-            if (use_reg) {
-              // Plane prediction is row-uniform along x: one kernel call per
-              // row, with the j/k gradient terms hoisted (same factors the
-              // scalar expression multiplies — bit-identical).
-              for (index_t k = 0; k < ez; ++k)
-                for (index_t j = 0; j < ey; ++j) {
-                  const index_t idx = d.index(x0, y0 + j, z0 + k);
-                  const double aj = qplane.gy * (static_cast<double>(j) - cj);
-                  const double ak = qplane.gz * (static_cast<double>(k) - ck);
-                  simd::quantize_row_plane(orig + idx, static_cast<std::size_t>(ex),
-                                           qplane.m, qplane.gx, ci, aj, ak, abs_eb,
-                                           cfg_.quant_radius, codes.data() + emitted,
-                                           recon.data() + idx, outliers);
-                  emitted += static_cast<std::size_t>(ex);
-                }
-            } else {
-              float* rec = recon.data();
-              for (index_t k = 0; k < ez; ++k)
-                for (index_t j = 0; j < ey; ++j) {
-                  const bool interior_row = y0 + j >= 1 && z0 + k >= zmin + 1;
-                  for (index_t i = 0; i < ex; ++i) {
-                    const index_t idx = d.index(x0 + i, y0 + j, z0 + k);
-                    const double pred =
-                        interior_row && x0 + i >= 1
-                            ? lorenzo_pred_fast(rec, idx, d.nx, d.nx * d.ny)
-                            : lorenzo_pred(rec, d, x0 + i, y0 + j, z0 + k, zmin);
-                    codes[emitted++] = quant.encode(orig[idx], pred, rec[idx], outliers);
-                  }
-                }
-            }
-          }
-
+      const BlockTally tally =
+          encode_blocks(cfg_, orig, d, bz0, bz1, abs_eb, flag_bits, coeff_bytes,
+                        codes.data(), recon.data(), outliers);
+      blocks_reg.add(tally.regression);
+      blocks_lor.add(tally.lorenzo);
     }
     auto& cs = chunks[static_cast<std::size_t>(c)];
     cs.flags = flag_bits.take();
@@ -298,8 +344,6 @@ FieldF LorenzoCompressor::decompress(std::span<const std::byte> stream) const {
   if (bs < 2) throw CodecError("lorenzo: bad block size");
   const index_t nbz = ceil_div(d.nz, bs);
   if (n_chunks < 1 || n_chunks > nbz) throw CodecError("lorenzo: bad chunk count");
-  const CoeffQuant cq{h.eb / 2.0, h.eb / (2.0 * static_cast<double>(bs))};
-  const LinearQuantizer quant{h.eb, radius};
 
   struct ChunkIn {
     std::span<const std::byte> flags, coeffs, codes, outliers;
@@ -319,7 +363,6 @@ FieldF LorenzoCompressor::decompress(std::span<const std::byte> stream) const {
    try {
     const index_t bz0 = nbz * c / n_chunks;
     const index_t bz1 = nbz * (c + 1) / n_chunks;
-    const index_t zmin = bz0 * bs;
     const auto& ci_in = chunk_in[static_cast<std::size_t>(c)];
 
     static obs::Counter& ns_pq =
@@ -346,7 +389,7 @@ FieldF LorenzoCompressor::decompress(std::span<const std::byte> stream) const {
       OBS_SPAN("lorenzo.entropy", &ns_ent);
       lossless::decode_quant_codes_into(
           ci_in.codes, radius, codes,
-          static_cast<std::uint64_t>((std::min(bz1 * bs, d.nz) - zmin) * d.nx * d.ny));
+          static_cast<std::uint64_t>((std::min(bz1 * bs, d.nz) - bz0 * bs) * d.nx * d.ny));
     }
     {
       OBS_SPAN("lorenzo.lossless", &ns_ll);
@@ -359,63 +402,12 @@ FieldF LorenzoCompressor::decompress(std::span<const std::byte> stream) const {
         std::memcpy(outliers.data(), outlier_raw.data(), outlier_raw.size());
     }
 
-    std::size_t code_pos = 0, outlier_pos = 0;
-    std::array<std::int64_t, 4> prev_q{0, 0, 0, 0};
-
-    // Closes at the end of the try block — the block loop is its last
-    // statement, so the span covers exactly the reconstruction sweep.
-    obs::Span span_recon("lorenzo.predict_recon", &ns_pq);
-    for (index_t bz = bz0; bz < bz1; ++bz)
-      for (index_t by = 0; by < ceil_div(d.ny, bs); ++by)
-        for (index_t bx = 0; bx < ceil_div(d.nx, bs); ++bx) {
-          const index_t x0 = bx * bs, y0 = by * bs, z0 = bz * bs;
-          const index_t ex = std::min(bs, d.nx - x0);
-          const index_t ey = std::min(bs, d.ny - y0);
-          const index_t ez = std::min(bs, d.nz - z0);
-
-          const bool use_reg = flag_bits.read_bit() != 0;
-          Plane qplane;
-          if (use_reg) {
-            std::array<std::int64_t, 4> q;
-            for (int t = 0; t < 4; ++t)
-              q[t] = prev_q[t] + unzigzag(coeff_reader.get_varint());
-            prev_q = q;
-            qplane = cq.dequantize(q);
-          }
-
-          const double cx = (ex - 1) / 2.0, cy = (ey - 1) / 2.0, cz = (ez - 1) / 2.0;
-          const std::span<const float> ospan(outliers.data(), outliers.size());
-          if (use_reg) {
-            for (index_t k = 0; k < ez; ++k)
-              for (index_t j = 0; j < ey; ++j) {
-                if (code_pos + static_cast<std::size_t>(ex) > codes.size())
-                  throw CodecError("lorenzo: code underrun");
-                const index_t idx = d.index(x0, y0 + j, z0 + k);
-                const double aj = qplane.gy * (static_cast<double>(j) - cy);
-                const double ak = qplane.gz * (static_cast<double>(k) - cz);
-                simd::dequantize_row_plane(codes.data() + code_pos,
-                                           static_cast<std::size_t>(ex), qplane.m,
-                                           qplane.gx, cx, aj, ak, h.eb, radius,
-                                           recon.data() + idx, ospan, outlier_pos);
-                code_pos += static_cast<std::size_t>(ex);
-              }
-          } else {
-            float* rec = recon.data();
-            for (index_t k = 0; k < ez; ++k)
-              for (index_t j = 0; j < ey; ++j) {
-                const bool interior_row = y0 + j >= 1 && z0 + k >= zmin + 1;
-                for (index_t i = 0; i < ex; ++i) {
-                  const index_t idx = d.index(x0 + i, y0 + j, z0 + k);
-                  const double pred =
-                      interior_row && x0 + i >= 1
-                          ? lorenzo_pred_fast(rec, idx, d.nx, d.nx * d.ny)
-                          : lorenzo_pred(rec, d, x0 + i, y0 + j, z0 + k, zmin);
-                  if (code_pos >= codes.size()) throw CodecError("lorenzo: code underrun");
-                  rec[idx] = quant.decode(codes[code_pos++], pred, ospan, outlier_pos);
-                }
-              }
-          }
-        }
+    {
+      OBS_SPAN("lorenzo.predict_recon", &ns_pq);
+      decode_blocks(d, bs, bz0, bz1, h.eb, radius, flag_bits, coeff_reader, codes,
+                    std::span<const float>(outliers.data(), outliers.size()),
+                    recon.data());
+    }
    } catch (...) {
      throw CodecError("lorenzo: corrupt chunk stream");
    }

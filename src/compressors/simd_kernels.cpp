@@ -28,11 +28,10 @@ void sc_quantize_constant(const float* orig, const float* src, std::size_t n,
                           float* recon, AlignedVec<float>& outliers) {
   s_quantize_constant(orig, src, n, eb, radius, codes, recon, outliers);
 }
-void sc_quantize_plane(const float* orig, std::size_t n, double m, double gx,
-                       double ci, double aj, double ak, double eb,
-                       std::uint32_t radius, std::uint32_t* codes, float* recon,
-                       AlignedVec<float>& outliers) {
-  s_quantize_plane(orig, n, m, gx, ci, aj, ak, eb, radius, codes, recon, outliers);
+void sc_quantize_block_plane(const PlaneBlock& b, const float* orig, double eb,
+                             std::uint32_t radius, std::uint32_t* codes, float* recon,
+                             AlignedVec<float>& outliers, BlockScratch&) {
+  s_quantize_block_plane(b, orig, eb, radius, codes, recon, outliers);
 }
 void sc_dequantize_linear(const std::uint32_t* codes, const float* lo, const float* hi,
                           std::size_t n, double eb, std::uint32_t radius, float* recon,
@@ -50,10 +49,17 @@ void sc_dequantize_constant(const std::uint32_t* codes, const float* src, std::s
                             std::span<const float> outliers, std::size_t& pos) {
   s_dequantize_constant(codes, src, n, eb, radius, recon, outliers, pos);
 }
-void sc_dequantize_plane(const std::uint32_t* codes, std::size_t n, double m, double gx,
-                         double ci, double aj, double ak, double eb, std::uint32_t radius,
-                         float* recon, std::span<const float> outliers, std::size_t& pos) {
-  s_dequantize_plane(codes, n, m, gx, ci, aj, ak, eb, radius, recon, outliers, pos);
+void sc_dequantize_block_plane(const PlaneBlock& b, const std::uint32_t* codes,
+                               double eb, std::uint32_t radius, float* recon,
+                               std::span<const float> outliers, std::size_t& pos,
+                               BlockScratch&) {
+  s_dequantize_block_plane(b, codes, eb, radius, recon, outliers, pos);
+}
+void sc_select_blocks(const float* orig, std::int64_t nx, std::int64_t ny,
+                      std::int64_t zmin, const BlockOrigin* blocks, std::size_t n,
+                      std::int64_t ex, std::int64_t ey, std::int64_t ez, BlockFit* fits,
+                      BlockScratch&) {
+  s_select_blocks(orig, nx, ny, zmin, blocks, n, ex, ey, ez, fits);
 }
 
 bool sc_min_max_f32(const float* p, std::size_t n, float& lo, float& hi) {
@@ -62,9 +68,10 @@ bool sc_min_max_f32(const float* p, std::size_t n, float& lo, float& hi) {
 }
 
 constexpr KernelTable kScalarTable = {
-    sc_quantize_linear,   sc_quantize_cubic,   sc_quantize_constant,
-    sc_quantize_plane,    sc_dequantize_linear, sc_dequantize_cubic,
-    sc_dequantize_constant, sc_dequantize_plane, sc_min_max_f32,
+    sc_quantize_linear,     sc_quantize_cubic,         sc_quantize_constant,
+    sc_quantize_block_plane, sc_dequantize_linear,     sc_dequantize_cubic,
+    sc_dequantize_constant, sc_dequantize_block_plane, sc_select_blocks,
+    sc_min_max_f32,
 };
 
 const KernelTable* table_for(Isa isa) {
@@ -151,12 +158,6 @@ void quantize_row_constant(const float* orig, const float* src, std::size_t n, d
                            AlignedVec<float>& outliers) {
   active()->quantize_constant(orig, src, n, eb, radius, codes, recon, outliers);
 }
-void quantize_row_plane(const float* orig, std::size_t n, double m, double gx, double ci,
-                        double aj, double ak, double eb, std::uint32_t radius,
-                        std::uint32_t* codes, float* recon, AlignedVec<float>& outliers) {
-  active()->quantize_plane(orig, n, m, gx, ci, aj, ak, eb, radius, codes, recon,
-                           outliers);
-}
 void dequantize_row_linear(const std::uint32_t* codes, const float* lo, const float* hi,
                            std::size_t n, double eb, std::uint32_t radius, float* recon,
                            std::span<const float> outliers, std::size_t& outlier_pos) {
@@ -174,12 +175,25 @@ void dequantize_row_constant(const std::uint32_t* codes, const float* src, std::
                              std::span<const float> outliers, std::size_t& outlier_pos) {
   active()->dequantize_constant(codes, src, n, eb, radius, recon, outliers, outlier_pos);
 }
-void dequantize_row_plane(const std::uint32_t* codes, std::size_t n, double m, double gx,
-                          double ci, double aj, double ak, double eb, std::uint32_t radius,
-                          float* recon, std::span<const float> outliers,
-                          std::size_t& outlier_pos) {
-  active()->dequantize_plane(codes, n, m, gx, ci, aj, ak, eb, radius, recon, outliers,
-                             outlier_pos);
+void select_blocks(const float* orig, std::int64_t nx, std::int64_t ny,
+                   std::int64_t zmin, const BlockOrigin* blocks, std::size_t n,
+                   std::int64_t ex, std::int64_t ey, std::int64_t ez, BlockFit* fits,
+                   BlockScratch& scratch) {
+  active()->select_blocks(orig, nx, ny, zmin, blocks, n, ex, ey, ez, fits, scratch);
+}
+
+void quantize_block_plane(const PlaneBlock& b, const float* orig, double eb,
+                          std::uint32_t radius, std::uint32_t* codes, float* recon,
+                          AlignedVec<float>& outliers, BlockScratch& scratch) {
+  active()->quantize_block_plane(b, orig, eb, radius, codes, recon, outliers, scratch);
+}
+
+void dequantize_block_plane(const PlaneBlock& b, const std::uint32_t* codes, double eb,
+                            std::uint32_t radius, float* recon,
+                            std::span<const float> outliers, std::size_t& outlier_pos,
+                            BlockScratch& scratch) {
+  active()->dequantize_block_plane(b, codes, eb, radius, recon, outliers, outlier_pos,
+                                   scratch);
 }
 
 std::pair<float, float> min_max_f32(const float* p, std::size_t n) {

@@ -11,10 +11,13 @@
 //   * every scalar operation maps to exactly one vector operation in the
 //     same order (no FMA — these TUs are never compiled with -mfma, and
 //     contraction cannot happen without it),
-//   * llround is emulated as magic-number round-to-even ((x + 1.5*2^52) -
-//     1.5*2^52, exact for |x| < 2^51, guaranteed by the radius guard) plus a
-//     sign-aware tie correction: +1 when x - r == +0.5 and x > 0, -1 when
-//     x - r == -0.5 and x < 0 — which is precisely round-half-away-from-zero,
+//   * llround is emulated as trunc(x + copysign(0.5 - 2^-54, x)) + 0.0 —
+//     precisely round-half-away-from-zero (the addend just below one half
+//     keeps a value below a half from rounding up across the integer) with a
+//     +0, never -0, for a zero result, as the integer llround converts back
+//     to,
+//   * the scalar |diff| < 2*eb*radius and |q| < radius checks fold into one
+//     exact |x| < radius - 1/2 compare on x = diff / (2*eb),
 //   * negation is a sign-bit xor (vsub(0, a) would flip the sign of zero
 //     differently),
 //   * lanes that fail any quantizer check compute garbage freely and are
@@ -54,15 +57,13 @@ inline vd cvt_f(__m128 f) { return _mm256_cvtps_pd(f); }
 inline __m128 cvt_d(vd x) { return _mm256_cvtpd_ps(x); }
 inline __m128i cvtt_i(vd x) { return _mm256_cvttpd_epi32(x); }
 inline vd cvt_i(__m128i x) { return _mm256_cvtepi32_pd(x); }
-/// Narrows a 64-bit lane mask to the matching 32-bit float-lane mask.
-inline __m128 mask_ps(vd m) {
-  const __m128 lo = _mm_castpd_ps(_mm256_castpd256_pd128(m));
-  const __m128 hi = _mm_castpd_ps(_mm256_extractf128_pd(m, 1));
-  return _mm_shuffle_ps(lo, hi, _MM_SHUFFLE(2, 0, 2, 0));
-}
 inline vd viota(double base) {
   return _mm256_setr_pd(base, base + 1.0, base + 2.0, base + 3.0);
 }
+inline vd vor(vd a, vd b) { return _mm256_or_pd(a, b); }
+inline vd vtrunc(vd x) { return _mm256_round_pd(x, _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC); }
+inline vd vload(const double* p) { return _mm256_loadu_pd(p); }
+inline void vstore(double* p, vd x) { _mm256_storeu_pd(p, x); }
 
 #else  // SSE2 pair
 
@@ -108,6 +109,16 @@ inline __m128 mask_ps(vd m) {
 inline vd viota(double base) {
   return {_mm_setr_pd(base, base + 1.0), _mm_setr_pd(base + 2.0, base + 3.0)};
 }
+inline vd vor(vd a, vd b) { return {_mm_or_pd(a.lo, b.lo), _mm_or_pd(a.hi, b.hi)}; }
+/// Truncation through int32 (SSE2 has no roundpd): exact for |x| < 2^31.
+inline vd vtrunc(vd x) {
+  return {_mm_cvtepi32_pd(_mm_cvttpd_epi32(x.lo)), _mm_cvtepi32_pd(_mm_cvttpd_epi32(x.hi))};
+}
+inline vd vload(const double* p) { return {_mm_loadu_pd(p), _mm_loadu_pd(p + 2)}; }
+inline void vstore(double* p, vd x) {
+  _mm_storeu_pd(p, x.lo);
+  _mm_storeu_pd(p + 2, x.hi);
+}
 
 #endif
 
@@ -116,43 +127,64 @@ inline vd vneg(vd x) { return vxor(x, vset1(-0.0)); }
 
 /// Vector quantizer constants (sd::QP broadcast, plus llround helpers).
 struct QV {
-  vd two_eb, range, radius_d, eb, half, neg_half, zero, one, magic;
+  vd two_eb, radius_d, radius_lim, eb, half, below_half, sign, zero;
 };
 inline QV make_qv(const sd::QP& p) {
-  return {vset1(p.two_eb), vset1(p.range),  vset1(p.radius_d),
-          vset1(p.eb),     vset1(0.5),      vset1(-0.5),
-          vset1(0.0),      vset1(1.0),      vset1(6755399441055744.0)};  // 2^52+2^51
+  return {vset1(p.two_eb), vset1(p.radius_d),
+          vset1(p.radius_d - 0.5), vset1(p.eb),
+          vset1(0.5),      vset1(0.49999999999999994),  // 0.5 - 2^-54
+          vset1(-0.0),     vset1(0.0)};
 }
 
-/// std::llround in the double domain: round-to-even via the magic constant,
-/// then push exact .5 ties away from zero. Valid for |x| < 2^51; lanes
-/// outside (which always fail the quantizer's range check) produce garbage
-/// that the caller masks off.
+/// std::llround in the double domain: trunc(x + copysign(0.5 - 2^-54, x)).
+/// The addend sits just below one half, so the sum never rounds a value
+/// below a half up across the next integer, while exact halves still reach
+/// it; + 0.0 then turns a -0 into the +0 the integer llround converts back
+/// to. Valid for |x| < 2^31 (SSE2 truncates through int32); lanes outside
+/// always fail the quantizer's radius check and are masked off.
 inline vd round_llround(vd x, const QV& qv) {
-  vd r = vsub(vadd(x, qv.magic), qv.magic);
-  const vd d = vsub(x, r);  // exact: |d| <= 0.5
-  r = vadd(r, vand(vand(cmp_eq(d, qv.half), cmp_lt(qv.zero, x)), qv.one));
-  r = vsub(r, vand(vand(cmp_eq(d, qv.neg_half), cmp_lt(x, qv.zero)), qv.one));
-  return r;
+  const vd addend = vor(vand(x, qv.sign), qv.below_half);
+  return vadd(vtrunc(vadd(x, addend)), qv.zero);
 }
+
+#if MRC_SIMD_AVX2
+/// Stores the codes (0 in escaped lanes) and the reconstruction (cand, or
+/// the original float bit for bit) of 4 lanes whose quantizer checks passed
+/// in `ok`; returns the escaped-lane mask.
+inline int store4(vd ok, vd code, __m128 candf, __m128 forig, std::uint32_t* codes,
+                  float* recon) {
+  // An all-ones double narrows to a sign-set NaN and zero to zero: a blendv mask.
+  const __m128 mf = _mm256_cvtpd_ps(ok);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(codes), cvtt_i(vand(code, ok)));
+  _mm_storeu_ps(recon, _mm_blendv_ps(forig, candf, mf));
+  return _mm256_movemask_pd(ok) ^ 0xf;
+}
+#else
+inline int store4(vd ok, vd code, __m128 candf, __m128 forig, std::uint32_t* codes,
+                  float* recon) {
+  const __m128 mf = mask_ps(ok);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(codes),
+                   _mm_and_si128(cvtt_i(code), _mm_castps_si128(mf)));
+  _mm_storeu_ps(recon, _mm_or_ps(_mm_and_ps(mf, candf), _mm_andnot_ps(mf, forig)));
+  return _mm_movemask_ps(mf) ^ 0xf;
+}
+#endif
 
 /// Quantizes 4 lanes against `pred`, storing codes+recon; returns the
 /// outlier lane mask (bit b set => lane b escaped).
 inline int quant4(__m128 forig, vd pred, const QV& qv, std::uint32_t* codes,
                   float* recon) {
   const vd xd = cvt_f(forig);
-  const vd diff = vsub(xd, pred);
-  const vd ok1 = cmp_lt(vabs(diff), qv.range);
-  const vd q = round_llround(vdiv(diff, qv.two_eb), qv);
-  const vd ok2 = cmp_lt(vabs(q), qv.radius_d);
+  const vd x = vdiv(vsub(xd, pred), qv.two_eb);
+  // |x| < radius - 1/2 is exactly llabs(llround(x)) < radius, and it implies
+  // the scalar pre-check |diff| < 2*eb*radius (radius < 2^30), so one
+  // compare stands for both.
+  const vd ok2 = cmp_lt(vabs(x), qv.radius_lim);
+  const vd q = round_llround(x, qv);
   const __m128 candf = cvt_d(vadd(pred, vmul(qv.two_eb, q)));
   const vd candd = cvt_f(candf);
-  const vd ok3 = cmp_le(vabs(vsub(candd, xd)), qv.eb);
-  const __m128 mf = mask_ps(vand(ok1, vand(ok2, ok3)));
-  const __m128i code = _mm_and_si128(cvtt_i(vadd(q, qv.radius_d)), _mm_castps_si128(mf));
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(codes), code);
-  _mm_storeu_ps(recon, _mm_or_ps(_mm_and_ps(mf, candf), _mm_andnot_ps(mf, forig)));
-  return _mm_movemask_ps(mf) ^ 0xf;
+  const vd ok = vand(ok2, cmp_le(vabs(vsub(candd, xd)), qv.eb));
+  return store4(ok, vadd(q, qv.radius_d), candf, forig, codes, recon);
 }
 
 inline void push_bad(const float* orig, int bad, AlignedVec<float>& outliers) {
@@ -249,24 +281,17 @@ void k_quantize_constant(const float* orig, const float* src, std::size_t n, dou
   sd::s_quantize_constant(orig, src, n, eb, radius, codes, recon, outliers, i);
 }
 
-void k_quantize_plane(const float* orig, std::size_t n, double m, double gx, double ci,
-                      double aj, double ak, double eb, std::uint32_t radius,
-                      std::uint32_t* codes, float* recon, AlignedVec<float>& outliers) {
-  if (!vectorizable(radius, n)) {
-    sd::s_quantize_plane(orig, n, m, gx, ci, aj, ak, eb, radius, codes, recon, outliers);
-    return;
-  }
+/// Quantizes orig[0..n) against explicit predictions (vectorizable n).
+inline void quantize_run(const float* orig, const double* pred, std::size_t n, double eb,
+                         std::uint32_t radius, std::uint32_t* codes, float* recon,
+                         AlignedVec<float>& outliers) {
   const QV qv = make_qv(sd::make_qp(eb, radius));
-  const vd mm = vset1(m), vgx = vset1(gx), vci = vset1(ci);
-  const vd vaj = vset1(aj), vak = vset1(ak);
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) {
-    const vd di = vsub(viota(static_cast<double>(i)), vci);
-    const vd pred = vadd(vadd(vadd(mm, vmul(vgx, di)), vaj), vak);
-    const int bad = quant4(_mm_loadu_ps(orig + i), pred, qv, codes + i, recon + i);
+    const int bad = quant4(_mm_loadu_ps(orig + i), vload(pred + i), qv, codes + i, recon + i);
     if (bad != 0) push_bad(orig + i, bad, outliers);
   }
-  sd::s_quantize_plane(orig, n, m, gx, ci, aj, ak, eb, radius, codes, recon, outliers, i);
+  sd::s_quantize_run(orig, pred, n, eb, radius, codes, recon, outliers, i);
 }
 
 void k_dequantize_linear(const std::uint32_t* codes, const float* lo, const float* hi,
@@ -328,24 +353,219 @@ void k_dequantize_constant(const std::uint32_t* codes, const float* src, std::si
   sd::s_dequantize_constant(codes, src, n, eb, radius, recon, outliers, pos, i);
 }
 
-void k_dequantize_plane(const std::uint32_t* codes, std::size_t n, double m, double gx,
-                        double ci, double aj, double ak, double eb, std::uint32_t radius,
-                        float* recon, std::span<const float> outliers, std::size_t& pos) {
-  if (!vectorizable(radius, n)) {
-    sd::s_dequantize_plane(codes, n, m, gx, ci, aj, ak, eb, radius, recon, outliers, pos);
-    return;
-  }
+/// Inverse of quantize_run (vectorizable n).
+inline void dequantize_run(const std::uint32_t* codes, const double* pred, std::size_t n,
+                           double eb, std::uint32_t radius, float* recon,
+                           std::span<const float> outliers, std::size_t& pos) {
   const QV qv = make_qv(sd::make_qp(eb, radius));
-  const vd mm = vset1(m), vgx = vset1(gx), vci = vset1(ci);
-  const vd vaj = vset1(aj), vak = vset1(ak);
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) {
-    const vd di = vsub(viota(static_cast<double>(i)), vci);
-    const vd pred = vadd(vadd(vadd(mm, vmul(vgx, di)), vaj), vak);
-    const int z = dequant4(codes + i, pred, qv, recon + i);
+    const int z = dequant4(codes + i, vload(pred + i), qv, recon + i);
     if (z != 0) patch_outliers(recon + i, z, outliers, pos);
   }
-  sd::s_dequantize_plane(codes, n, m, gx, ci, aj, ak, eb, radius, recon, outliers, pos, i);
+  sd::s_dequantize_run(codes, pred, n, eb, radius, recon, outliers, pos, i);
+}
+
+// Regression blocks: the block is gathered into one contiguous run so the
+// quantizer sees whole vectors instead of a 6-sample row's one vector and
+// two scalar tail elements, predicted with the scalar expression's exact
+// operations, quantized, and its reconstruction scattered back.
+
+/// Copies n floats with 4-wide moves and a scalar tail (no library call
+/// for the short rows, and never a read or write past either end).
+inline void copy_floats(const float* src, std::int64_t n, float* dst) {
+  std::int64_t i = 0;
+  for (; i + 4 <= n; i += 4) _mm_storeu_ps(dst + i, _mm_loadu_ps(src + i));
+  switch (n - i) {
+    case 3: dst[i + 2] = src[i + 2]; [[fallthrough]];
+    case 2: dst[i + 1] = src[i + 1]; [[fallthrough]];
+    case 1: dst[i] = src[i]; break;
+    default: break;
+  }
+}
+
+/// Block plane predictions in k, j, i order into s.doubles[0..n): per row,
+/// (((m + gx*(i-ci)) + aj) + ak) as in sd::pred_plane, four at a time —
+/// a row's last vector spills into the next row's slots (rewritten next)
+/// or the 4-double slack after the run.
+inline const double* plane_run(const PlaneBlock& b, BlockScratch& s) {
+  const auto n = static_cast<std::size_t>(b.ex * b.ey * b.ez);
+  const std::int64_t ex4 = (b.ex + 3) & ~std::int64_t{3};
+  s.doubles.resize(n + 4 + static_cast<std::size_t>(ex4));
+  double* pred = s.doubles.data();
+  double* row_terms = pred + n + 4;
+  const Plane& p = b.plane;
+  const double ci = (b.ex - 1) / 2.0, cj = (b.ey - 1) / 2.0, ck = (b.ez - 1) / 2.0;
+  const vd m = vset1(p.m), gx = vset1(p.gx), vci = vset1(ci);
+  for (std::int64_t i = 0; i < ex4; i += 4)
+    vstore(row_terms + i,
+           vadd(m, vmul(gx, vsub(viota(static_cast<double>(i)), vci))));
+  for (std::int64_t k = 0; k < b.ez; ++k) {
+    const vd ak = vset1(p.gz * (static_cast<double>(k) - ck));
+    for (std::int64_t j = 0; j < b.ey; ++j, pred += b.ex) {
+      const vd aj = vset1(p.gy * (static_cast<double>(j) - cj));
+      for (std::int64_t i = 0; i < b.ex; i += 4)
+        vstore(pred + i, vadd(vadd(vload(row_terms + i), aj), ak));
+    }
+  }
+  return s.doubles.data();
+}
+
+inline void scatter_block(const PlaneBlock& b, const float* run, float* recon) {
+  for (std::int64_t k = 0; k < b.ez; ++k)
+    for (std::int64_t j = 0; j < b.ey; ++j, run += b.ex)
+      copy_floats(run, b.ex, recon + j * b.sy + k * b.sz);
+}
+
+void k_quantize_block_plane(const PlaneBlock& b, const float* orig, double eb,
+                            std::uint32_t radius, std::uint32_t* codes, float* recon,
+                            AlignedVec<float>& outliers, BlockScratch& s) {
+  const auto n = static_cast<std::size_t>(b.ex * b.ey * b.ez);
+  if (!vectorizable(radius, n)) {
+    sd::s_quantize_block_plane(b, orig, eb, radius, codes, recon, outliers);
+    return;
+  }
+  const double* pred = plane_run(b, s);
+  s.floats.resize(2 * n);  // the gathered block, then its reconstruction
+  float* run = s.floats.data();
+  float* dst = run;
+  for (std::int64_t k = 0; k < b.ez; ++k)
+    for (std::int64_t j = 0; j < b.ey; ++j, dst += b.ex)
+      copy_floats(orig + j * b.sy + k * b.sz, b.ex, dst);
+  quantize_run(run, pred, n, eb, radius, codes, run + n, outliers);
+  scatter_block(b, run + n, recon);
+}
+
+void k_dequantize_block_plane(const PlaneBlock& b, const std::uint32_t* codes, double eb,
+                              std::uint32_t radius, float* recon,
+                              std::span<const float> outliers, std::size_t& pos,
+                              BlockScratch& s) {
+  const auto n = static_cast<std::size_t>(b.ex * b.ey * b.ez);
+  if (!vectorizable(radius, n)) {
+    sd::s_dequantize_block_plane(b, codes, eb, radius, recon, outliers, pos);
+    return;
+  }
+  const double* pred = plane_run(b, s);
+  s.floats.resize(n);
+  dequantize_run(codes, pred, n, eb, radius, s.floats.data(), outliers, pos);
+  scatter_block(b, s.floats.data(), recon);
+}
+
+// Predictor selection, four same-shape blocks per pass, block b in lane b.
+// The blocks are first transposed into cells: one 4-double vector per
+// position of the block grown by one sample towards -x, -y and -z, holding
+// the four blocks' samples there, with zero where the stencil would leave
+// the field or the chunk (x < 0, y < 0, z < zmin) — exactly the zero the
+// checked stencil substitutes. Every Lorenzo neighbour is then a plain
+// vector load, and each lane's six sums add in the scalar k, j, i order.
+void k_select_blocks(const float* orig, std::int64_t nx, std::int64_t ny,
+                     std::int64_t zmin, const BlockOrigin* blocks, std::size_t n,
+                     std::int64_t ex, std::int64_t ey, std::int64_t ez, BlockFit* fits,
+                     BlockScratch& scratch) {
+  const std::int64_t tx = ex + 1, ty = ey + 1, tz = ez + 1;
+  const std::int64_t tx4 = (tx + 3) & ~std::int64_t{3};  // whole 4x4 transposes
+  const std::int64_t cy = 4 * tx, cz = 4 * tx * ty;      // cell strides in doubles
+  // Cells (a row's last transpose spills up to 3 cells into the next row,
+  // rewritten there, or into the slack), then pass 2's per-i plane terms.
+  scratch.doubles.resize(static_cast<std::size_t>(cz * tz + 4 * (tx4 - tx) + 4 * ex));
+  double* const t = scratch.doubles.data();
+  double* const base = t + cz * tz + 4 * (tx4 - tx);
+  // A zero row for lanes outside the field, then one staging row per lane
+  // for rows a direct tx4-float read would overrun.
+  scratch.floats.assign(static_cast<std::size_t>(5 * tx4), 0.0f);
+  const float* const zeros = scratch.floats.data();
+
+  const sd::FitNorms fn = sd::fit_norms(ex, ey, ez);
+  const double ci = fn.ci, cj = fn.cj, ck = fn.ck;
+  const vd zero = vset1(0.0);
+
+  for (std::size_t g = 0; g < n; g += 4) {
+    const std::size_t lanes = n - g < 4 ? n - g : 4;
+    for (std::int64_t kk = 0; kk < tz; ++kk)
+      for (std::int64_t jj = 0; jj < ty; ++jj) {
+        const float* src[4];
+        for (std::size_t b = 0; b < 4; ++b) {
+          src[b] = zeros;
+          if (b >= lanes) continue;
+          const BlockOrigin& o = blocks[g + b];
+          const std::int64_t y = o.y + jj - 1, z = o.z + kk - 1;
+          if (y < 0 || z < zmin) continue;
+          const float* row = orig + o.x + nx * (y + ny * z);
+          if (o.x >= 1 && o.x - 1 + tx4 <= nx) {
+            src[b] = row - 1;
+            continue;
+          }
+          float* st = scratch.floats.data() + (b + 1) * tx4;
+          st[0] = o.x >= 1 ? row[-1] : 0.0f;
+          copy_floats(row, ex, st + 1);
+          src[b] = st;
+        }
+        double* cell = t + kk * cz + jj * cy;
+        for (std::int64_t ii = 0; ii < tx; ii += 4, cell += 16) {
+          __m128 r0 = _mm_loadu_ps(src[0] + ii), r1 = _mm_loadu_ps(src[1] + ii);
+          __m128 r2 = _mm_loadu_ps(src[2] + ii), r3 = _mm_loadu_ps(src[3] + ii);
+          _MM_TRANSPOSE4_PS(r0, r1, r2, r3);
+          vstore(cell, cvt_f(r0));
+          vstore(cell + 4, cvt_f(r1));
+          vstore(cell + 8, cvt_f(r2));
+          vstore(cell + 12, cvt_f(r3));
+        }
+      }
+
+    // Pass 1: plane-fit sums and the Lorenzo-on-original error sum.
+    vd s = zero, sx = zero, sy = zero, sz = zero, el = zero;
+    for (std::int64_t k = 0; k < ez; ++k) {
+      const vd dk = vset1(static_cast<double>(k) - ck);
+      for (std::int64_t j = 0; j < ey; ++j) {
+        const vd dj = vset1(static_cast<double>(j) - cj);
+        const double* c = t + (k + 1) * cz + (j + 1) * cy + 4;
+        for (std::int64_t i = 0; i < ex; ++i, c += 4) {
+          const vd v = vload(c);
+          s = vadd(s, v);
+          sx = vadd(sx, vmul(v, vset1(static_cast<double>(i) - ci)));
+          sy = vadd(sy, vmul(v, dj));
+          sz = vadd(sz, vmul(v, dk));
+          vd lor = vadd(vload(c - 4), vload(c - cy));
+          lor = vadd(lor, vload(c - cz));
+          lor = vsub(lor, vload(c - 4 - cy));
+          lor = vsub(lor, vload(c - 4 - cz));
+          lor = vsub(lor, vload(c - cy - cz));
+          lor = vadd(lor, vload(c - 4 - cy - cz));
+          el = vadd(el, vabs(vsub(v, lor)));
+        }
+      }
+    }
+    const vd m = vdiv(s, vset1(fn.n));
+    const vd gx = fn.vx > 0 ? vdiv(sx, vset1(fn.vx)) : zero;
+    const vd gy = fn.vy > 0 ? vdiv(sy, vset1(fn.vy)) : zero;
+    const vd gz = fn.vz > 0 ? vdiv(sz, vset1(fn.vz)) : zero;
+
+    // Pass 2: the plane's error sum, ((m + gx*di) + gy*dj) + gz*dk per sample.
+    for (std::int64_t i = 0; i < ex; ++i)
+      vstore(base + 4 * i, vadd(m, vmul(gx, vset1(static_cast<double>(i) - ci))));
+    vd er = zero;
+    for (std::int64_t k = 0; k < ez; ++k) {
+      const vd ak = vmul(gz, vset1(static_cast<double>(k) - ck));
+      for (std::int64_t j = 0; j < ey; ++j) {
+        const vd aj = vmul(gy, vset1(static_cast<double>(j) - cj));
+        const double* c = t + (k + 1) * cz + (j + 1) * cy + 4;
+        for (std::int64_t i = 0; i < ex; ++i, c += 4) {
+          const vd pr = vadd(vadd(vload(base + 4 * i), aj), ak);
+          er = vadd(er, vabs(vsub(vload(c), pr)));
+        }
+      }
+    }
+
+    alignas(32) double lm[4], lgx[4], lgy[4], lgz[4], ler[4], lel[4];
+    vstore(lm, m);
+    vstore(lgx, gx);
+    vstore(lgy, gy);
+    vstore(lgz, gz);
+    vstore(ler, er);
+    vstore(lel, el);
+    for (std::size_t b = 0; b < lanes; ++b)
+      fits[g + b] = {{lm[b], lgx[b], lgy[b], lgz[b]}, ler[b], lel[b]};
+  }
 }
 
 // Float min/max: one register of floats per load, four loads per step so
@@ -402,8 +622,9 @@ bool k_min_max_f32(const float* p, std::size_t n, float& lo, float& hi) {
 }
 
 inline constexpr mrc::simd::detail::KernelTable kTable = {
-    k_quantize_linear,   k_quantize_cubic,   k_quantize_constant,   k_quantize_plane,
-    k_dequantize_linear, k_dequantize_cubic, k_dequantize_constant, k_dequantize_plane,
+    k_quantize_linear,     k_quantize_cubic,         k_quantize_constant,
+    k_quantize_block_plane, k_dequantize_linear,     k_dequantize_cubic,
+    k_dequantize_constant, k_dequantize_block_plane, k_select_blocks,
     k_min_max_f32,
 };
 

@@ -24,6 +24,7 @@
 #include "lossless/bitstream.h"
 #include "lossless/huffman.h"
 #include "lossless/quant_codec.h"
+#include "test_util.h"
 
 namespace mrc {
 namespace {
@@ -133,6 +134,41 @@ TEST(FrozenFormat, LorenzoContainer) {
   const auto s = LorenzoCompressor().compress(golden_field(), 1e-3);
   EXPECT_EQ(s.size(), 2583u);
   EXPECT_EQ(fnv1a(s), 0x0a2057a126f5c728ull);
+}
+
+// Lorenzo configurations beyond the default, pinned before the codec's
+// block loop was vectorised: the paper's 4^3 AMR blocks, z-slab chunks,
+// pure Lorenzo, and a field whose blocks mix both predictors (the golden
+// field above selects Lorenzo in every block).
+
+TEST(FrozenFormat, LorenzoBlock4Container) {
+  LorenzoConfig cfg;
+  cfg.block_size = 4;
+  const auto s = LorenzoCompressor(cfg).compress(golden_field(), 1e-3);
+  EXPECT_EQ(s.size(), 2608u);
+  EXPECT_EQ(fnv1a(s), 0x21ace035a583e046ull);
+}
+
+TEST(FrozenFormat, LorenzoChunks3Container) {
+  LorenzoConfig cfg;
+  cfg.chunks = 3;
+  const auto s = LorenzoCompressor(cfg).compress(golden_field(), 1e-3);
+  EXPECT_EQ(s.size(), 3025u);
+  EXPECT_EQ(fnv1a(s), 0xc08d2d7e5c256defull);
+}
+
+TEST(FrozenFormat, LorenzoNoRegressionContainer) {
+  LorenzoConfig cfg;
+  cfg.use_regression = false;
+  const auto s = LorenzoCompressor(cfg).compress(golden_field(), 1e-3);
+  EXPECT_EQ(s.size(), 2583u);
+  EXPECT_EQ(fnv1a(s), 0x23223c42f75ae2e5ull);
+}
+
+TEST(FrozenFormat, LorenzoMixedBlocksContainer) {
+  const auto s = LorenzoCompressor().compress(test::mixed_block_field({23, 14, 11}), 1e-3);
+  EXPECT_EQ(s.size(), 7521u);
+  EXPECT_EQ(fnv1a(s), 0xfe4f73ef73d16ac4ull);
 }
 
 TEST(FrozenFormat, ZfpxContainer) {

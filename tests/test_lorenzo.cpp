@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include "common/bytes.h"
 #include "compressors/lorenzo/lorenzo_compressor.h"
+#include "lossless/bitstream.h"
+#include "lossless/lzss.h"
+#include "lossless/quant_codec.h"
 #include "test_util.h"
 
 namespace mrc {
@@ -111,6 +115,52 @@ TEST(Lorenzo, SmallBlocksShowBoundaryArtifacts) {
         }
       }
   EXPECT_GT(boundary / static_cast<double>(nb), interior / static_cast<double>(ni));
+}
+
+TEST(Lorenzo, OutOfRangePlaneNextToSmallOneRoundTrips) {
+  // A 1e30 block's mean code is out of llround's range; its delta to the
+  // 1.0 block's code once overflowed int64 (undefined behaviour). The
+  // deltas now wrap, and the 1e30 samples ride the outlier channel.
+  FieldF f({12, 6, 6});
+  for (index_t z = 0; z < 6; ++z)
+    for (index_t y = 0; y < 6; ++y)
+      for (index_t x = 0; x < 12; ++x) f.at(x, y, z) = x < 6 ? 1.0f : 1e30f;
+  const auto rt = round_trip(LorenzoCompressor{}, f, 1e-3);
+  EXPECT_LE(max_abs_err(f, rt.reconstructed), 1e-3);
+}
+
+TEST(Lorenzo, HostileCoefficientDeltasDecodeOrThrow) {
+  // Two regression blocks whose mean-code deltas sum past INT64_MAX: the
+  // decoder must produce a field or a CodecError, never overflow.
+  const Dim3 d{12, 6, 6};
+  const std::uint32_t radius = 512;
+  Bytes stream;
+  ByteWriter w(stream);
+  detail::write_header(w, LorenzoCompressor::kMagic, d, 1e-3, 1);
+  w.put_varint(6);       // block size
+  w.put_varint(radius);
+  w.put(std::uint8_t{1});  // use_regression
+  w.put_varint(1);       // chunks
+  lossless::BitWriter flags;
+  flags.write_bit(1);
+  flags.write_bit(1);
+  w.put_blob(flags.take());
+  Bytes coeffs;
+  ByteWriter cw(coeffs);
+  const std::uint64_t zz_max = ~std::uint64_t{1};  // zigzag(INT64_MAX)
+  for (const std::uint64_t delta : {zz_max, std::uint64_t{0}, std::uint64_t{0},
+                                    std::uint64_t{0}, std::uint64_t{10}, zz_max, zz_max,
+                                    std::uint64_t{0}})
+    cw.put_varint(delta);
+  w.put_blob(lossless::lzss_compress(coeffs));
+  const std::vector<std::uint32_t> codes(static_cast<std::size_t>(d.size()), radius);
+  w.put_blob(lossless::encode_quant_codes(codes, radius));
+  w.put_blob(lossless::lzss_compress({}));
+  try {
+    const FieldF out = LorenzoCompressor{}.decompress(stream);
+    EXPECT_EQ(out.dims(), d);
+  } catch (const CodecError&) {
+  }
 }
 
 TEST(Lorenzo, DecompressRejectsWrongMagic) {

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "common/bytes.h"
+#include "compressors/lorenzo/lorenzo_compressor.h"
 #include "obs/obs.h"
 #include "serve/server.h"
 #include "serve/wire.h"
@@ -257,6 +258,29 @@ TEST(ObsWire, MetricsFrameRoundTripsAndReconcilesWithServerStats) {
   EXPECT_NE(text.find("# TYPE mrc_cache_lookups counter"), std::string::npos);
   EXPECT_NE(text.find("# TYPE mrc_serve_requests counter"), std::string::npos);
   EXPECT_NE(text.find("mrc_cache_hits "), std::string::npos);
+}
+
+TEST(ObsWire, LorenzoBlockCountersReachExpositionAndWire) {
+  // The encoder tallies its predictor choice per chunk: 20 regression and
+  // 4 Lorenzo blocks on this field (the split its frozen golden pins).
+  auto& reg = obs::Registry::global();
+  const std::uint64_t base_reg = reg.counter_value("mrc.codec.lorenzo.blocks_regression");
+  const std::uint64_t base_lor = reg.counter_value("mrc.codec.lorenzo.blocks_lorenzo");
+  (void)LorenzoCompressor{}.compress(test::mixed_block_field({23, 14, 11}), 1e-3);
+  EXPECT_EQ(reg.counter_value("mrc.codec.lorenzo.blocks_regression") - base_reg, 20u);
+  EXPECT_EQ(reg.counter_value("mrc.codec.lorenzo.blocks_lorenzo") - base_lor, 4u);
+
+  const std::string local = reg.render_text();
+  EXPECT_NE(local.find("# TYPE mrc_codec_lorenzo_blocks_regression counter"),
+            std::string::npos);
+  EXPECT_NE(local.find("# TYPE mrc_codec_lorenzo_blocks_lorenzo counter"),
+            std::string::npos);
+  serve::Server srv(quiet());
+  wire::Client client(
+      [&srv](std::span<const std::byte> frame) { return srv.handle_frame(frame); });
+  const std::string text = client.metrics();
+  EXPECT_NE(text.find("mrc_codec_lorenzo_blocks_regression "), std::string::npos);
+  EXPECT_NE(text.find("mrc_codec_lorenzo_blocks_lorenzo "), std::string::npos);
 }
 
 TEST(ObsWire, MalformedMetricsFramesEarnErrorFrames) {

@@ -41,6 +41,27 @@ inline FieldF step_field(Dim3 d, double lo = 0.0, double hi = 1000.0) {
   return f;
 }
 
+/// Regression blocks beside Lorenzo blocks for the SZ2-class codec at
+/// 6^3: the x < nx/2 half is a jittered plane (regression wins), the rest a
+/// separable quadratic the Lorenzo stencil predicts exactly (Lorenzo wins
+/// off the chunk faces), with rare +50 spikes for the outlier channel.
+inline FieldF mixed_block_field(Dim3 d) {
+  FieldF f(d);
+  Rng rng(5);
+  for (index_t z = 0; z < d.nz; ++z)
+    for (index_t y = 0; y < d.ny; ++y)
+      for (index_t x = 0; x < d.nx; ++x) {
+        const double jitter = 0.02 * rng.uniform();
+        const auto xd = static_cast<double>(x), yd = static_cast<double>(y),
+                   zd = static_cast<double>(z);
+        double v = x < (d.nx + 1) / 2 ? 2.0 * xd - 1.5 * yd + 0.75 * zd + jitter
+                                      : 0.5 * xd * xd + 0.3 * yd * yd - 0.4 * zd * zd;
+        if (rng.uniform() < 0.01) v += 50.0;
+        f.at(x, y, z) = static_cast<float>(v);
+      }
+  return f;
+}
+
 inline double max_abs_err(const FieldF& a, const FieldF& b) {
   double m = 0.0;
   for (index_t i = 0; i < a.size(); ++i)

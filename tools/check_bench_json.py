@@ -28,6 +28,7 @@ ROW_IDENTITY = {
             "quant_decode",
             "predict_quant_interp",
             "predict_quant_lorenzo",
+            "codec_compress_lorenzo_nyx",
             "sharded_decode_t1",
             "sharded_decode_t2",
             "sharded_decode_t4",
