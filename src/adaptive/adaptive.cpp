@@ -372,33 +372,35 @@ Index read_index(std::span<const std::byte> stream) {
   return idx;
 }
 
-FieldF decode_brick(const Index& idx, const Compressor& codec,
-                    std::span<const std::byte> stream, std::size_t t) {
-  MRC_REQUIRE(t < idx.bricks.size(), "decode_brick: brick id out of range");
+Reader::Reader(std::span<const std::byte> stream)
+    : bytes(stream),
+      index(read_index(stream)),
+      codec(registry().make_for_magic(index.codec_magic)) {}
+
+FieldF Reader::decode(index_t t) const {
+  MRC_REQUIRE(t >= 0 && static_cast<std::size_t>(t) < index.bricks.size(),
+              "adaptive: brick id out of range");
   static obs::Counter& bricks =
       obs::Registry::global().counter("mrc.adaptive.bricks_decoded");
   bricks.add(1);
   OBS_SPAN("adaptive.brick_decode");
-  const BrickEntry& e = idx.bricks[t];
-  const auto payload = stream.subspan(idx.payload_offset,
-                                      static_cast<std::size_t>(idx.payload_bytes));
+  const auto b = static_cast<std::size_t>(t);
+  const BrickEntry& e = index.bricks[b];
+  const auto payload = bytes.subspan(index.payload_offset,
+                                     static_cast<std::size_t>(index.payload_bytes));
   const auto brick_stream = payload.subspan(static_cast<std::size_t>(e.offset),
                                             static_cast<std::size_t>(e.length));
-  const FieldF b = codec.decompress(brick_stream);
-  if (b.dims() != e.stored)
+  FieldF decoded = codec->decompress(brick_stream);
+  if (decoded.dims() != e.stored)
     throw CodecError("adaptive: brick " + std::to_string(t) + " decodes to " +
-                     b.dims().str() + ", index says " + e.stored.str());
-  return b;
-}
-
-FieldF reconstruct_brick(const Index& idx, std::size_t t, const FieldF& decoded) {
-  MRC_REQUIRE(t < idx.bricks.size(), "reconstruct_brick: brick id out of range");
-  const BrickEntry& e = idx.bricks[t];
-  MRC_REQUIRE(decoded.dims() == e.stored, "reconstruct_brick: extents mismatch");
+                     decoded.dims().str() + ", index says " + e.stored.str());
   if (e.level == 0) return decoded;
-  return prolong_trilinear(decoded, idx.fine_extent(t));
+  return prolong_trilinear(decoded, index.fine_extent(b));
 }
 
+namespace {
+
+/// Brick ids a seam-free read of `region` must decode (see assemble).
 std::vector<index_t> bricks_for_region(const Index& idx, const tiled::Box& region) {
   const Dim3 ext = region.extent();
   MRC_REQUIRE(region.lo.x >= 0 && region.lo.y >= 0 && region.lo.z >= 0 && ext.nx > 0 &&
@@ -446,10 +448,27 @@ std::vector<index_t> bricks_for_region(const Index& idx, const tiled::Box& regio
   return out;
 }
 
-namespace detail {
+}  // namespace
 
-void assemble_region(const Index& idx, const tiled::Box& region,
-                     const std::function<const FieldF&(index_t)>& recon, FieldF& out) {
+FieldF assemble(const Index& idx, const tiled::Box& region,
+                const tiled::BrickFetch& fetch, exec::ThreadPool& pool,
+                std::vector<index_t>* hit) {
+  std::vector<index_t> need = bricks_for_region(idx, region);
+  // Every contributor is held at once: a coarse owner blends with its
+  // low-side neighbors. Each brick is held here, so the result stays exact
+  // even if a cache evicts it at once.
+  std::vector<tiled::BrickPtr> bricks(need.size());
+  pool.parallel_for(static_cast<index_t>(need.size()), [&](index_t i) {
+    const auto slot = static_cast<std::size_t>(i);
+    bricks[slot] = fetch(need[slot]);
+  });
+  std::unordered_map<index_t, std::size_t> slot;
+  slot.reserve(need.size());
+  for (std::size_t i = 0; i < need.size(); ++i) slot.emplace(need[i], i);
+  const auto recon = [&](index_t t) -> const FieldF& { return *bricks[slot.at(t)]; };
+
+  // The owner cores tile the region, so every sample is written below.
+  FieldF out(region.extent(), uninit);
   const Dim3 g = idx.grid;
   const index_t tx0 = region.lo.x / idx.brick, tx1 = ceil_div(region.hi.x, idx.brick);
   const index_t ty0 = region.lo.y / idx.brick, ty1 = ceil_div(region.hi.y, idx.brick);
@@ -514,36 +533,22 @@ void assemble_region(const Index& idx, const tiled::Box& region,
                   static_cast<float>(sum / cnt);
             }
       }
+  if (hit != nullptr) *hit = std::move(need);
+  return out;
 }
-
-}  // namespace detail
 
 tiled::RegionRead read_region(std::span<const std::byte> stream, const tiled::Box& region,
                               int threads) {
-  const Index idx = read_index(stream);
-  const std::vector<index_t> need = bricks_for_region(idx, region);
-
-  tiled::RegionRead out;
-  // assemble_region writes every sample: the owner cores tile the region.
-  out.data = FieldF(region.extent(), uninit);
-  out.tiles_total = idx.bricks.size();
-  out.tiles_decoded = need.size();
-
-  const auto codec = registry().make_for_magic(idx.codec_magic);
-  std::vector<FieldF> recon(need.size());
-  std::unordered_map<index_t, std::size_t> slot;
-  slot.reserve(need.size());
-  for (std::size_t i = 0; i < need.size(); ++i) slot.emplace(need[i], i);
+  const Reader reader(stream);
   exec::ThreadPool pool(threads);
-  pool.parallel_for(static_cast<index_t>(need.size()), [&](index_t i) {
-    const auto t = static_cast<std::size_t>(need[static_cast<std::size_t>(i)]);
-    recon[static_cast<std::size_t>(i)] =
-        reconstruct_brick(idx, t, decode_brick(idx, *codec, stream, t));
-  });
-
-  detail::assemble_region(
-      idx, region, [&](index_t t) -> const FieldF& { return recon[slot.at(t)]; },
-      out.data);
+  std::vector<index_t> hit;
+  tiled::RegionRead out;
+  out.data = assemble(
+      reader.index, region,
+      [&](index_t t) { return std::make_shared<const FieldF>(reader.decode(t)); }, pool,
+      &hit);
+  out.tiles_total = reader.index.bricks.size();
+  out.tiles_decoded = hit.size();
   return out;
 }
 

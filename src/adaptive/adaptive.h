@@ -53,7 +53,6 @@
 // or hostile streams fail with CodecError before any allocation is sized
 // from an unvalidated claim.
 
-#include <functional>
 #include <span>
 #include <string>
 #include <vector>
@@ -189,26 +188,35 @@ struct Index {
 /// brick. Throws CodecError on malformed streams.
 [[nodiscard]] Index read_index(std::span<const std::byte> stream);
 
-/// Decodes the single brick `t` and validates its extents against the index
-/// record. `codec` must match idx.codec_magic.
-[[nodiscard]] FieldF decode_brick(const Index& idx, const Compressor& codec,
-                                  std::span<const std::byte> stream, std::size_t t);
+/// An adaptive stream opened for brick decodes: its bytes, its full index
+/// and one stateless codec instance that serves any number of lanes.
+struct Reader {
+  std::span<const std::byte> bytes;
+  Index index;
+  std::unique_ptr<Compressor> codec;
 
-/// Fine-resolution rendition of one decoded brick over its stored fine
-/// region: the decoded samples themselves at level 0, the trilinear
-/// prolongation otherwise. This is the unit the serve-layer cache holds for
-/// adaptive streams.
-[[nodiscard]] FieldF reconstruct_brick(const Index& idx, std::size_t t,
-                                       const FieldF& decoded);
+  /// Parses and validates the full index (read_index). Throws CodecError.
+  explicit Reader(std::span<const std::byte> stream);
+  /// Decodes brick `t`, validates its extents against the index record and
+  /// returns its fine-resolution rendition over its stored fine region: the
+  /// decoded samples at level 0, their trilinear prolongation otherwise.
+  /// This is the unit the region assembly and the serve-layer cache hold.
+  [[nodiscard]] FieldF decode(index_t t) const;
+};
 
-/// Brick ids a seam-free read of `region` must decode: the bricks whose core
-/// intersects it, plus the low-side neighbors of every coarse one (their
-/// scaled overlap contributes to the blend).
-[[nodiscard]] std::vector<index_t> bricks_for_region(const Index& idx,
-                                                     const tiled::Box& region);
+/// The one seam-free region assembly, shared by read_region (direct
+/// decodes) and the serve layer (cached bricks): fetches every brick the
+/// read needs on the pool — the bricks whose core intersects `region`, plus
+/// the low-side neighbors of every coarse one, whose scaled overlap
+/// contributes to the blend; `fetch(t)` must return the
+/// Reader::decode rendition of brick `t` — then blends the owner cores
+/// over them. `hit` (if non-null) receives those brick ids.
+[[nodiscard]] FieldF assemble(const Index& idx, const tiled::Box& region,
+                              const tiled::BrickFetch& fetch, exec::ThreadPool& pool,
+                              std::vector<index_t>* hit = nullptr);
 
 /// Reads `region` (finest-grid coordinates) seam-free, decoding only the
-/// bricks bricks_for_region names — bit-identical to the same window of a
+/// bricks the read needs — bit-identical to the same window of a
 /// full decompress() for any query box.
 [[nodiscard]] tiled::RegionRead read_region(std::span<const std::byte> stream,
                                             const tiled::Box& region, int threads = 1);
@@ -221,16 +229,5 @@ struct Index {
 
 /// Compressed payload bytes per level (size = idx.n_levels).
 [[nodiscard]] std::vector<std::uint64_t> level_bytes(const Index& idx);
-
-namespace detail {
-
-/// Assembles `region` from reconstructed bricks: `recon(t)` must return the
-/// reconstruct_brick rendition of brick `t` for every id bricks_for_region
-/// lists. Shared by read_region and the serve-layer Dataset so both produce
-/// bit-identical output.
-void assemble_region(const Index& idx, const tiled::Box& region,
-                     const std::function<const FieldF&(index_t)>& recon, FieldF& out);
-
-}  // namespace detail
 
 }  // namespace mrc::adaptive

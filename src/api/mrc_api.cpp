@@ -12,6 +12,7 @@
 #include "obs/obs.h"
 #include "roi/roi_extract.h"
 #include "serve/server.h"
+#include "source/brick_source.h"
 
 namespace mrc::api {
 
@@ -348,27 +349,20 @@ Bytes compress(const FieldF& f, const Options& opt) {
   return codec->compress(f, opt.absolute_eb(f));
 }
 
-FieldF decompress(std::span<const std::byte> stream) {
+FieldF decompress(std::span<const std::byte> stream, int threads) {
   OBS_SPAN("api.decompress");
   const StreamHeader h = peek_header(stream);
   if (h.codec_magic == workflow::kSnapshotMagic) return restore(stream);
-  if (h.codec_magic == tiled::kTiledMagic)
-    // Single lane, like every other facade default — callers that want the
-    // parallel decode pass threads to tiled::decompress / api::read_region.
-    return tiled::decompress(stream, /*threads=*/1);
-  if (h.codec_magic == pyramid::kPyramidMagic)
-    // The uniform reconstruction of a pyramid is its finest level.
-    return pyramid::decompress_level(stream, /*level=*/0, /*threads=*/1);
-  if (h.codec_magic == adaptive::kAdaptiveMagic)
-    // The seam-free blended finest grid of the adaptive container.
-    return adaptive::decompress(stream, /*threads=*/1);
-  if (h.codec_magic == progressive::kProgressiveMagic)
-    // The uniform reconstruction of a residual pyramid is its finest level.
-    return progressive::decompress_level(stream, /*level=*/0, /*threads=*/1);
   if (h.codec_magic == sz3mr::kLevelMagic)
     // A bare level stream decodes to its level grid (zeros outside the mask).
     return sz3mr::decompress_level(stream).data;
-  return registry().make_for_magic(h.codec_magic)->decompress(stream);
+  if (registry().find_magic(h.codec_magic) != nullptr)
+    return registry().make_for_magic(h.codec_magic)->decompress(stream);
+  // Everything else is a brick container (or foreign, which open rejects):
+  // its uniform reconstruction is level 0 — the finest level of a pyramid
+  // or residual pyramid, the seam-free blended grid of an adaptive stream.
+  const auto src = source::open(stream);
+  return source::read(*src, 0, tiled::full_box(src->dims(0)), threads);
 }
 
 Bytes compress_adaptive(const FieldF& uniform, const Options& opt) {
@@ -395,7 +389,7 @@ Bytes compress_tiled(const FieldF& f, const Options& opt) {
 
 FieldF read_region(std::span<const std::byte> stream, const tiled::Box& region,
                    int threads) {
-  return tiled::read_region(stream, region, threads).data;
+  return source::read(*source::open(stream), 0, region, threads);
 }
 
 Bytes build_pyramid(const FieldF& f, const Options& opt) {
@@ -448,6 +442,22 @@ StreamInfo info(std::span<const std::byte> stream) {
   out.dims = h.dims;
   out.eb = h.eb;
   out.stream_bytes = stream.size();
+  // MRCT/MRCA: an O(1) preamble peek — the per-brick records are not walked.
+  const auto brick_grid = [&out](const auto& idx) {
+    out.codec = idx.codec;
+    out.brick = idx.brick;
+    out.overlap = idx.overlap;
+    out.tile_grid = idx.grid;
+    out.tiles = static_cast<std::size_t>(idx.grid.size());
+  };
+  // MRCP/MRCR: an O(levels) table peek — no nested tile index is walked.
+  const auto level_table = [&out](const auto& idx) {
+    out.codec = idx.codec;
+    out.brick = idx.brick;
+    out.levels = idx.levels.size();
+    for (const auto& e : idx.levels)
+      out.level_meta.push_back({e.dims, e.length, e.vmin, e.vmax, e.approx_err});
+  };
   if (h.codec_magic == workflow::kSnapshotMagic) {
     out.kind = StreamInfo::Kind::snapshot;
     out.codec = "snapshot";
@@ -455,44 +465,19 @@ StreamInfo info(std::span<const std::byte> stream) {
     (void)r.get_varint();  // block size
     out.levels = static_cast<std::size_t>(r.get_varint());
   } else if (h.codec_magic == tiled::kTiledMagic) {
-    // O(1) preamble peek — the per-tile records are not walked here.
-    const tiled::Index idx = tiled::read_geometry(stream);
     out.kind = StreamInfo::Kind::tiled;
-    out.codec = idx.codec;
-    out.brick = idx.brick;
-    out.overlap = idx.overlap;
-    out.tile_grid = idx.grid;
-    out.tiles = static_cast<std::size_t>(idx.grid.size());
+    brick_grid(tiled::read_geometry(stream));
   } else if (h.codec_magic == pyramid::kPyramidMagic) {
-    // O(levels) table peek — no nested tile index is walked here.
-    const pyramid::Index idx = pyramid::read_geometry(stream);
     out.kind = StreamInfo::Kind::pyramid;
-    out.codec = idx.codec;
-    out.brick = idx.brick;
-    out.levels = idx.levels.size();
-    out.level_meta.reserve(idx.levels.size());
-    for (const auto& e : idx.levels)
-      out.level_meta.push_back({e.dims, e.length, e.vmin, e.vmax, e.approx_err});
+    level_table(pyramid::read_geometry(stream));
   } else if (h.codec_magic == adaptive::kAdaptiveMagic) {
-    // O(1) preamble peek — the per-brick records are not walked here.
     const adaptive::Index idx = adaptive::read_geometry(stream);
     out.kind = StreamInfo::Kind::adaptive;
-    out.codec = idx.codec;
-    out.brick = idx.brick;
-    out.overlap = idx.overlap;
-    out.tile_grid = idx.grid;
-    out.tiles = static_cast<std::size_t>(idx.grid.size());
+    brick_grid(idx);
     out.levels = static_cast<std::size_t>(idx.n_levels);
   } else if (h.codec_magic == progressive::kProgressiveMagic) {
-    // O(levels) table peek — no nested tile index is walked here.
-    const progressive::Index idx = progressive::read_geometry(stream);
     out.kind = StreamInfo::Kind::progressive;
-    out.codec = idx.codec;
-    out.brick = idx.brick;
-    out.levels = idx.levels.size();
-    out.level_meta.reserve(idx.levels.size());
-    for (const auto& e : idx.levels)
-      out.level_meta.push_back({e.dims, e.length, e.vmin, e.vmax, e.approx_err});
+    level_table(progressive::read_geometry(stream));
   } else if (h.codec_magic == sz3mr::kLevelMagic) {
     out.kind = StreamInfo::Kind::level;
     out.codec = "sz3mr";

@@ -175,8 +175,11 @@ struct Options {
 
 /// Reconstructs a uniform field from any stream this facade produces: codec
 /// streams decode through the registry (magic-peek dispatch), snapshots are
-/// restored to the uniform grid. Throws CodecError on foreign data.
-[[nodiscard]] FieldF decompress(std::span<const std::byte> stream);
+/// restored to the uniform grid, and the brick containers (MRCT/MRCP/MRCA/
+/// MRCR) decode their level 0 through source::open on a pool of `threads`
+/// lanes (0 = hardware; other streams decode single-lane). Throws
+/// CodecError on foreign data.
+[[nodiscard]] FieldF decompress(std::span<const std::byte> stream, int threads = 1);
 
 /// The paper's full workflow: ROI-based adaptive conversion + per-level
 /// SZ3MR compression, returned as one self-describing snapshot stream. The
@@ -197,9 +200,9 @@ struct Options {
 /// count.
 [[nodiscard]] Bytes compress_tiled(const FieldF& f, const Options& opt = {});
 
-/// Reads `region` out of a tiled stream, decoding only the bricks that
-/// intersect it — bit-identical to the same window of a full decompress.
-/// threads = 0 means hardware concurrency.
+/// Reads `region` out of level 0 of any brick container (MRCT/MRCP/MRCA/
+/// MRCR), decoding only the bricks the read needs — bit-identical to the
+/// same window of a full decompress. threads = 0 means hardware concurrency.
 [[nodiscard]] FieldF read_region(std::span<const std::byte> stream,
                                  const tiled::Box& region, int threads = 1);
 

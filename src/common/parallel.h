@@ -25,12 +25,4 @@ namespace mrc {
 #endif
 }
 
-[[nodiscard]] inline int thread_id() {
-#if defined(MRC_HAVE_OPENMP)
-  return omp_get_thread_num();
-#else
-  return 0;
-#endif
-}
-
 }  // namespace mrc

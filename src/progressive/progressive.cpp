@@ -12,8 +12,7 @@ namespace mrc::progressive {
 
 namespace {
 
-/// Smallest possible level record: 5 single-byte varints + six f32s.
-inline constexpr std::size_t kMinLevelRecord = 29;
+inline constexpr level_table::Format kFormat{kProgressiveMagic, "progressive"};
 
 /// a + b per sample, accumulated in double and rounded once to float — the
 /// single reconstruction step recon = prolong + residual. Build, full
@@ -67,8 +66,10 @@ float bin_entropy(const FieldF& f, double eb) {
   return static_cast<float>(h);
 }
 
-}  // namespace
-
+/// The prolongation-support chain of a region read: boxes[level] = region,
+/// boxes[l+1] = the coarse footprint prolong_trilinear needs for boxes[l]
+/// (levels below `level` are left empty). A layered read assembles exactly
+/// these boxes.
 std::vector<tiled::Box> support_chain(const Index& idx, int level,
                                       const tiled::Box& region) {
   MRC_REQUIRE(level >= 0 && level < static_cast<int>(idx.levels.size()),
@@ -88,6 +89,8 @@ std::vector<tiled::Box> support_chain(const Index& idx, int level,
   return boxes;
 }
 
+}  // namespace
+
 FieldF refine(const FieldF& coarse_window, const tiled::Box& coarse_box,
               Dim3 coarse_dims, const FieldF& residual, const tiled::Box& fine_box,
               Dim3 fine_dims) {
@@ -99,14 +102,6 @@ FieldF refine(const FieldF& coarse_window, const tiled::Box& coarse_box,
                                               fine_box.extent());
   add_into(prolonged, residual);
   return prolonged;
-}
-
-std::span<const std::byte> Index::level_stream(std::span<const std::byte> stream,
-                                               std::size_t l) const {
-  MRC_REQUIRE(l < levels.size(), "level_stream: level out of range");
-  const LevelEntry& e = levels[l];
-  return stream.subspan(payload_offset + static_cast<std::size_t>(e.offset),
-                        static_cast<std::size_t>(e.length));
 }
 
 Bytes build(const FieldF& f, double abs_eb, const Config& cfg) {
@@ -178,187 +173,71 @@ Bytes build(const FieldF& f, double abs_eb, const Config& cfg) {
     }
   }
 
-  std::uint64_t payload_bytes = 0;
-  for (int l = 0; l < n_levels; ++l) {
-    auto& e = entries[static_cast<std::size_t>(l)];
-    e.offset = payload_bytes;
-    e.length = streams[static_cast<std::size_t>(l)].size();
-    payload_bytes += e.length;
-  }
-
-  Bytes out;
-  ByteWriter w(out);
-  detail::write_header(w, kProgressiveMagic, d, abs_eb);
-  w.put_varint(static_cast<std::uint64_t>(n_levels));
-  w.put_varint(payload_bytes);
-  for (const LevelEntry& e : entries) {
-    w.put_varint(e.offset);
-    w.put_varint(e.length);
-    w.put_varint(static_cast<std::uint64_t>(e.dims.nx));
-    w.put_varint(static_cast<std::uint64_t>(e.dims.ny));
-    w.put_varint(static_cast<std::uint64_t>(e.dims.nz));
-    w.put(e.vmin);
-    w.put(e.vmax);
-    w.put(e.resid_max);
-    w.put(e.resid_entropy);
-    w.put(e.cum_err);
-    w.put(e.approx_err);
-  }
-  for (const Bytes& s : streams) w.put_bytes(s);
-  return out;
+  return level_table::write(kFormat, d, abs_eb, entries, streams);
 }
 
 Index read_geometry(std::span<const std::byte> stream) {
-  ByteReader r(stream);
-  const auto header = detail::read_header(r, kProgressiveMagic, "progressive");
-
   Index idx;
-  idx.dims = header.dims;
-  idx.eb = header.eb;
-  const std::uint64_t n_levels = r.get_varint();
-  // A hostile stream can claim any level count; the cap plus the
-  // records-must-fit check bound every allocation before it is sized.
-  if (n_levels < 1 || n_levels > static_cast<std::uint64_t>(kMaxLevels))
-    throw CodecError("progressive: bad level count");
-  idx.payload_bytes = r.get_varint();
-  if (n_levels > r.remaining() / kMinLevelRecord)
-    throw CodecError("progressive: level count exceeds stream size");
-
-  idx.levels.resize(static_cast<std::size_t>(n_levels));
-  Dim3 expect = idx.dims;
-  std::uint64_t next_offset = 0;
-  for (std::size_t l = 0; l < idx.levels.size(); ++l) {
-    LevelEntry& e = idx.levels[l];
-    e.offset = r.get_varint();
-    e.length = r.get_varint();
-    e.dims.nx = static_cast<index_t>(r.get_varint());
-    e.dims.ny = static_cast<index_t>(r.get_varint());
-    e.dims.nz = static_cast<index_t>(r.get_varint());
-    e.vmin = r.get<float>();
-    e.vmax = r.get<float>();
-    e.resid_max = r.get<float>();
-    e.resid_entropy = r.get<float>();
-    e.cum_err = r.get<float>();
-    e.approx_err = r.get<float>();
-
-    // Levels are pinned to the halving chain and must tile the payload
-    // exactly — anything else (overlapping records, gaps, extents that are
-    // not the parent's half) means a corrupt or hostile table.
-    if (e.dims != expect)
-      throw CodecError("progressive: level " + std::to_string(l) + " extents " +
-                       e.dims.str() + " off the halving chain (want " + expect.str() +
-                       ")");
-    if (e.offset != next_offset || e.length == 0 ||
-        e.length > idx.payload_bytes - e.offset)
-      throw CodecError("progressive: level " + std::to_string(l) +
-                       " offset/length out of range");
-    next_offset = e.offset + e.length;
-    expect = blocks_for(expect, 2);
-  }
-  if (next_offset != idx.payload_bytes)
-    throw CodecError("progressive: level streams do not tile the payload");
-
-  idx.payload_offset = r.position();
-  if (r.remaining() < idx.payload_bytes)
-    throw CodecError("progressive: payload truncated");
-
-  // Level 0's tiled preamble (O(1) peek) supplies the residual codec + brick
-  // edge and cross-checks the finest extents and error bound; the coarsest
-  // level's preamble supplies the data codec (residuals and data carry
-  // different statistics and may use different codecs).
-  const tiled::Index fine = tiled::read_geometry(idx.level_stream(stream, 0));
-  if (fine.dims != idx.dims)
-    throw CodecError(
-        "progressive: level 0 stream extents disagree with the level table");
-  if (fine.eb != idx.eb)
-    throw CodecError(
-        "progressive: level 0 stream error bound disagrees with the header");
-  idx.codec = fine.codec;
-  idx.codec_magic = fine.codec_magic;
-  idx.brick = fine.brick;
-  if (idx.levels.size() == 1) {
-    idx.data_codec = fine.codec;
-    idx.data_codec_magic = fine.codec_magic;
-  } else {
-    const tiled::Index coarse =
-        tiled::read_geometry(idx.level_stream(stream, idx.levels.size() - 1));
-    if (coarse.dims != idx.levels.back().dims)
-      throw CodecError(
-          "progressive: coarsest stream extents disagree with the level table");
-    if (coarse.eb != idx.eb)
-      throw CodecError(
-          "progressive: coarsest stream error bound disagrees with the header");
-    idx.data_codec = coarse.codec;
-    idx.data_codec_magic = coarse.codec_magic;
-  }
+  level_table::read_geometry(stream, kFormat, idx);
+  // Residuals and data carry different statistics and may use different
+  // codecs: the coarsest level's preamble supplies the data codec.
+  const tiled::Index coarse = idx.nested(stream, idx.levels.size() - 1, kFormat);
+  idx.data_codec = coarse.codec;
+  idx.data_codec_magic = coarse.codec_magic;
   return idx;
 }
 
 Index read_index(std::span<const std::byte> stream) {
   Index idx = read_geometry(stream);
-  // Every nested stream must be a tiled stream of exactly the level table's
-  // extents, the section's codec (residual levels share one, the coarsest
-  // data level its own), same bound — a mismatch means the table points at
-  // the wrong bytes.
-  for (std::size_t l = 1; l < idx.levels.size(); ++l) {
-    const tiled::Index li = tiled::read_geometry(idx.level_stream(stream, l));
-    const std::uint32_t want =
-        l == idx.levels.size() - 1 ? idx.data_codec_magic : idx.codec_magic;
-    if (li.dims != idx.levels[l].dims)
-      throw CodecError("progressive: level " + std::to_string(l) +
-                       " stream extents disagree with the level table");
-    if (li.codec_magic != want)
-      throw CodecError("progressive: level " + std::to_string(l) + " codec mismatch");
-    if (li.eb != idx.eb)
-      throw CodecError("progressive: level " + std::to_string(l) +
-                       " error bound mismatch");
-  }
+  level_table::check_levels(stream, kFormat, idx, idx.data_codec_magic);
   return idx;
 }
 
-FieldF decompress_level(std::span<const std::byte> stream, int level, int threads) {
-  const Index idx = read_index(stream);
-  MRC_REQUIRE(level >= 0 && level < static_cast<int>(idx.levels.size()),
-              "progressive: level out of range");
+std::vector<Layer> read_layers(const Index& idx, int level, const tiled::Box& region,
+                               const LevelRead& read, std::vector<index_t>* hit) {
+  const auto boxes = support_chain(idx, level, region);
   const int top = static_cast<int>(idx.levels.size()) - 1;
-  OBS_SPAN("progressive.level_decode");
-  FieldF recon =
-      tiled::decompress(idx.level_stream(stream, static_cast<std::size_t>(top)),
-                        threads);
-  for (int l = top - 1; l >= level; --l) {
-    FieldF prolonged =
-        prolong_trilinear(recon, idx.levels[static_cast<std::size_t>(l)].dims);
-    add_into(prolonged,
-             tiled::decompress(idx.level_stream(stream, static_cast<std::size_t>(l)),
-                               threads));
-    recon = std::move(prolonged);
+  std::vector<Layer> layers;
+  layers.reserve(static_cast<std::size_t>(top - level + 1));
+  for (int l = top; l >= level; --l) {
+    OBS_SPAN("progressive.layer");
+    const auto li = static_cast<std::size_t>(l);
+    layers.push_back({l, idx.levels[li].dims, boxes[li],
+                      read(l, boxes[li], l == level ? hit : nullptr), l != top});
   }
-  return recon;
+  return layers;
+}
+
+FieldF fold(std::vector<Layer> layers) {
+  FieldF window = std::move(layers.front().data);
+  for (std::size_t i = 1; i < layers.size(); ++i) {
+    const Layer& coarse = layers[i - 1];
+    const Layer& fine = layers[i];
+    window = refine(window, coarse.box, coarse.level_dims, fine.data, fine.box,
+                    fine.level_dims);
+  }
+  return window;
+}
+
+FieldF decompress_level(std::span<const std::byte> stream, int level, int threads) {
+  const Dim3 dims = level_dims(peek_header(stream).dims, level);
+  return read_region(stream, level, tiled::full_box(dims), threads);
 }
 
 FieldF read_region(std::span<const std::byte> stream, int level,
                    const tiled::Box& region, int threads) {
   const Index idx = read_index(stream);
-  MRC_REQUIRE(level >= 0 && level < static_cast<int>(idx.levels.size()),
-              "progressive: level out of range");
-  const int top = static_cast<int>(idx.levels.size()) - 1;
-  const auto boxes = support_chain(idx, level, region);
+  std::vector<tiled::Reader> levels;
+  levels.reserve(idx.levels.size());
+  for (std::size_t l = 0; l < idx.levels.size(); ++l)
+    levels.emplace_back(idx.level_stream(stream, l));
+  exec::ThreadPool pool(threads);
   OBS_SPAN("progressive.level_decode");
-  FieldF window =
-      tiled::read_region(idx.level_stream(stream, static_cast<std::size_t>(top)),
-                         boxes[static_cast<std::size_t>(top)], threads)
-          .data;
-  for (int l = top - 1; l >= level; --l) {
-    const tiled::Box& fine_box = boxes[static_cast<std::size_t>(l)];
-    const FieldF resid =
-        tiled::read_region(idx.level_stream(stream, static_cast<std::size_t>(l)),
-                           fine_box, threads)
-            .data;
-    window = refine(window, boxes[static_cast<std::size_t>(l + 1)],
-                    idx.levels[static_cast<std::size_t>(l + 1)].dims, resid, fine_box,
-                    idx.levels[static_cast<std::size_t>(l)].dims);
-  }
-  return window;
+  return fold(read_layers(idx, level, region,
+                          [&](int l, const tiled::Box& box, std::vector<index_t>* hit) {
+                            const tiled::Reader& r = levels[static_cast<std::size_t>(l)];
+                            return tiled::assemble(r.index, box, r.direct(), pool, hit);
+                          }));
 }
 
 }  // namespace mrc::progressive

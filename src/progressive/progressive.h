@@ -22,28 +22,17 @@
 // bound cum_err(L) = eb * (n_levels - L), the a-priori guarantee that holds
 // compositionally without trusting the build-time measurement.
 //
-// Stream layout (container header v6 under kProgressiveMagic):
-//   shared container header      finest-grid extents + absolute error bound
-//   varint  n_levels             >= 1, halving chain
-//   varint  payload_bytes        total size of the level payload section
-//   per level:                   varint offset, varint length,
-//                                varint nx,ny,nz (level extents),
-//                                f32 vmin, f32 vmax      (level data range)
-//                                f32 resid_max           (max |residual|)
-//                                f32 resid_entropy       (bits/sample, 2eb bins)
-//                                f32 cum_err             (telescoped bound)
-//                                f32 approx_err          (LOD error vs finest)
-//   payload                      concatenated tiled (MRCT) residual streams,
-//                                finest first; the last one is the coarsest
-//                                level's data stream. Residual levels share
-//                                one codec, the data level may use another
-//                                (each nested preamble is self-describing).
-//
-// Validation discipline matches pyramid/tiled/adaptive: level extents are
-// pinned to the halving chain, level streams must tile the payload exactly,
-// hostile level counts are rejected before any allocation is sized from
-// them, and read_index cross-checks every nested tiled preamble.
+// Stream layout (container header v6 under kProgressiveMagic): the level
+// table of pyramid/level_table.h — records ending in the six f32 fields of
+// LevelEntry — in front of the concatenated tiled (MRCT) residual streams,
+// finest first; the last one is the coarsest level's data stream. Residual
+// levels share one codec, the data level may use another (each nested
+// preamble is self-describing). The shared reader validates the table
+// before any nested stream is touched or any allocation is sized from a
+// claim.
 
+#include <array>
+#include <functional>
 #include <span>
 #include <string>
 #include <vector>
@@ -56,8 +45,8 @@ namespace mrc::progressive {
 /// Container-header stream id of a progressive residual stream.
 inline constexpr std::uint32_t kProgressiveMagic = 0x5243'524d;  // "MRCR"
 
-/// Same hard cap as the pyramid: the halving chain machinery is shared.
-inline constexpr int kMaxLevels = pyramid::kMaxLevels;
+/// Same hard cap as the pyramid: the level table reader is shared.
+inline constexpr int kMaxLevels = level_table::kMaxLevels;
 
 /// Level extents + auto level count follow the pyramid's halving chain.
 using pyramid::auto_levels;
@@ -79,36 +68,47 @@ struct Config {
   int levels = 0;
 };
 
-/// One record of the level table.
-struct LevelEntry {
-  std::uint64_t offset = 0;  ///< within the payload section
-  std::uint64_t length = 0;  ///< bytes of this level's tiled residual stream
-  Dim3 dims;                 ///< level extents (= ceil_div(fine, 2^level))
+/// One record of the level table: the shared leading fields, then the
+/// level's data range, residual statistics and error bounds.
+struct LevelEntry : level_table::Record {
   float vmin = 0.0f;         ///< value range over the level's *data* samples
   float vmax = 0.0f;
   float resid_max = 0.0f;      ///< max |residual| (coarsest: max |data|)
   float resid_entropy = 0.0f;  ///< Shannon bits/sample over 2eb-wide bins
   float cum_err = 0.0f;        ///< telescoped bound eb * (n_levels - level)
   float approx_err = 0.0f;     ///< LOD bound: max|prolong(level)-finest|+cum_err
+
+  static constexpr std::array<float LevelEntry::*, 6> kRecordFloats{
+      &LevelEntry::vmin,          &LevelEntry::vmax,    &LevelEntry::resid_max,
+      &LevelEntry::resid_entropy, &LevelEntry::cum_err, &LevelEntry::approx_err};
 };
 
-/// Parsed + validated level table of a progressive stream.
-struct Index {
-  Dim3 dims;          ///< finest-grid extents
-  double eb = 0.0;    ///< absolute codec error bound (every residual level)
-  std::string codec;  ///< per-brick codec of level 0 (all residual levels match)
-  std::uint32_t codec_magic = 0;
+/// Parsed + validated level table of a progressive stream. `codec` is the
+/// residual levels' codec (level 0's); the coarsest (data) level may use
+/// its own.
+struct Index : level_table::Table<LevelEntry> {
   std::string data_codec;  ///< codec of the coarsest (data) level
   std::uint32_t data_codec_magic = 0;
-  index_t brick = 0;  ///< brick edge of level 0
-  std::size_t payload_offset = 0;  ///< absolute offset of the payload section
-  std::uint64_t payload_bytes = 0;
-  std::vector<LevelEntry> levels;  ///< [0] = finest residual, back() = coarsest data
-
-  /// The sub-span of `stream` holding level `l`'s complete tiled stream.
-  [[nodiscard]] std::span<const std::byte> level_stream(
-      std::span<const std::byte> stream, std::size_t l) const;
 };
+
+/// One layer of a layered region read: the coarsest layer carries decoded
+/// data over its box; every finer layer carries a *residual* window the
+/// reader applies in place via refine. Boxes are in each layer's own level
+/// coordinates and follow the prolongation-support chain (layer l+1's box
+/// covers the prolongation footprint of layer l's).
+struct Layer {
+  int level = 0;
+  Dim3 level_dims;  ///< global extents of this level (refine prolongs with these)
+  tiled::Box box;
+  FieldF data;
+  bool residual = false;  ///< false only for the coarsest layer
+};
+
+/// Reads the stored samples of `level` over `box` (residual samples below
+/// the coarsest level) through the tiled assembly — from direct decodes or
+/// the serve layer's cache. `hit` (if non-null) receives the brick ids read.
+using LevelRead =
+    std::function<FieldF(int level, const tiled::Box& box, std::vector<index_t>* hit)>;
 
 /// Builds the residual pyramid: restrict_half chain from `f`, the coarsest
 /// level compressed verbatim, every finer level as a residual against the
@@ -126,9 +126,8 @@ struct Index {
 /// (magic, extents, codec and eb agreement with the level table).
 [[nodiscard]] Index read_index(std::span<const std::byte> stream);
 
-/// Reconstructs level `level` in full: decode the coarsest stream, then
-/// prolong + residual down to `level`. Bit-deterministic for any thread
-/// count (threads = 0 means hardware).
+/// Reconstructs level `level` in full: read_region over the whole level.
+/// Bit-deterministic for any thread count (threads = 0 means hardware).
 [[nodiscard]] FieldF decompress_level(std::span<const std::byte> stream, int level,
                                       int threads = 1);
 
@@ -138,17 +137,25 @@ struct Index {
 [[nodiscard]] FieldF read_region(std::span<const std::byte> stream, int level,
                                  const tiled::Box& region, int threads = 1);
 
-/// The prolongation-support chain of a region read: boxes[level] = region,
-/// boxes[l+1] = the coarse footprint prolong_trilinear needs for boxes[l]
-/// (levels below `level` are left empty). Windowed reconstruction — and the
-/// serve layer's progressive read — decodes exactly these boxes.
-[[nodiscard]] std::vector<tiled::Box> support_chain(const Index& idx, int level,
-                                                    const tiled::Box& region);
+/// The one layered-read assembly, shared by read_region (direct decodes)
+/// and the serve layer (cached bricks): the coarsest layer's data over the
+/// support chain's top box, then one residual window per finer level down
+/// to `level`, coarsest first, each window from `read`. `hit` (if non-null)
+/// receives the brick ids of level `level` the read touched.
+[[nodiscard]] std::vector<Layer> read_layers(const Index& idx, int level,
+                                             const tiled::Box& region,
+                                             const LevelRead& read,
+                                             std::vector<index_t>* hit = nullptr);
+
+/// Folds layers top-down with refine — the reconstruction of the finest
+/// layer's box.
+[[nodiscard]] FieldF fold(std::vector<Layer> layers);
 
 /// One refinement step: prolong the coarse window onto `fine_box` and add
 /// the residual window, accumulating in double with a single float rounding
-/// per sample. Every reconstruction path — build, decompress_level,
-/// read_region, serve::Dataset and the wire client's in-place refinement —
+/// per sample. Every reconstruction path — build, fold (hence
+/// decompress_level, read_region and serve::Dataset) and the wire client's
+/// in-place refinement —
 /// applies this exact expression, which is what makes them bit-identical.
 [[nodiscard]] FieldF refine(const FieldF& coarse_window, const tiled::Box& coarse_box,
                             Dim3 coarse_dims, const FieldF& residual,

@@ -11,8 +11,7 @@ namespace mrc::pyramid {
 
 namespace {
 
-/// Smallest possible level record: 5 single-byte varints + three f32s.
-inline constexpr std::size_t kMinLevelRecord = 17;
+inline constexpr level_table::Format kFormat{kPyramidMagic, "pyramid"};
 
 }  // namespace
 
@@ -25,14 +24,6 @@ double prolong_error(const FieldF& coarse, const FieldF& fine, exec::ThreadPool&
         coarse, fine, s * nz / slabs, (s + 1) * nz / slabs);
   });
   return *std::max_element(errs.begin(), errs.end());
-}
-
-std::span<const std::byte> Index::level_stream(std::span<const std::byte> stream,
-                                               std::size_t l) const {
-  MRC_REQUIRE(l < levels.size(), "level_stream: level out of range");
-  const LevelEntry& e = levels[l];
-  return stream.subspan(payload_offset + static_cast<std::size_t>(e.offset),
-                        static_cast<std::size_t>(e.length));
 }
 
 Dim3 level_dims(Dim3 fine, int level) {
@@ -93,121 +84,25 @@ Bytes build(const FieldF& f, double abs_eb, const Config& cfg) {
     streams[static_cast<std::size_t>(l)] = tiled::compress(level, abs_eb, tc);
   }
 
-  std::uint64_t payload_bytes = 0;
-  for (int l = 0; l < n_levels; ++l) {
-    auto& e = entries[static_cast<std::size_t>(l)];
-    e.offset = payload_bytes;
-    e.length = streams[static_cast<std::size_t>(l)].size();
-    payload_bytes += e.length;
-  }
-
-  Bytes out;
-  ByteWriter w(out);
-  detail::write_header(w, kPyramidMagic, d, abs_eb);
-  w.put_varint(static_cast<std::uint64_t>(n_levels));
-  w.put_varint(payload_bytes);
-  for (const LevelEntry& e : entries) {
-    w.put_varint(e.offset);
-    w.put_varint(e.length);
-    w.put_varint(static_cast<std::uint64_t>(e.dims.nx));
-    w.put_varint(static_cast<std::uint64_t>(e.dims.ny));
-    w.put_varint(static_cast<std::uint64_t>(e.dims.nz));
-    w.put(e.vmin);
-    w.put(e.vmax);
-    w.put(e.approx_err);
-  }
-  for (const Bytes& s : streams) w.put_bytes(s);
-  return out;
+  return level_table::write(kFormat, d, abs_eb, entries, streams);
 }
 
 Index read_geometry(std::span<const std::byte> stream) {
-  ByteReader r(stream);
-  const auto header = detail::read_header(r, kPyramidMagic, "pyramid");
-
   Index idx;
-  idx.dims = header.dims;
-  idx.eb = header.eb;
-  const std::uint64_t n_levels = r.get_varint();
-  // A hostile stream can claim any level count; the cap plus the
-  // records-must-fit check bound every allocation before it is sized.
-  if (n_levels < 1 || n_levels > static_cast<std::uint64_t>(kMaxLevels))
-    throw CodecError("pyramid: bad level count");
-  idx.payload_bytes = r.get_varint();
-  if (n_levels > r.remaining() / kMinLevelRecord)
-    throw CodecError("pyramid: level count exceeds stream size");
-
-  idx.levels.resize(static_cast<std::size_t>(n_levels));
-  Dim3 expect = idx.dims;
-  std::uint64_t next_offset = 0;
-  for (std::size_t l = 0; l < idx.levels.size(); ++l) {
-    LevelEntry& e = idx.levels[l];
-    e.offset = r.get_varint();
-    e.length = r.get_varint();
-    e.dims.nx = static_cast<index_t>(r.get_varint());
-    e.dims.ny = static_cast<index_t>(r.get_varint());
-    e.dims.nz = static_cast<index_t>(r.get_varint());
-    e.vmin = r.get<float>();
-    e.vmax = r.get<float>();
-    e.approx_err = r.get<float>();
-
-    // Levels are pinned to the halving chain and must tile the payload
-    // exactly — anything else (overlapping records, gaps, extents that are
-    // not the parent's half) means a corrupt or hostile table.
-    if (e.dims != expect)
-      throw CodecError("pyramid: level " + std::to_string(l) + " extents " +
-                       e.dims.str() + " off the halving chain (want " + expect.str() +
-                       ")");
-    if (e.offset != next_offset || e.length == 0 ||
-        e.length > idx.payload_bytes - e.offset)
-      throw CodecError("pyramid: level " + std::to_string(l) +
-                       " offset/length out of range");
-    next_offset = e.offset + e.length;
-    expect = blocks_for(expect, 2);
-  }
-  if (next_offset != idx.payload_bytes)
-    throw CodecError("pyramid: level streams do not tile the payload");
-
-  idx.payload_offset = r.position();
-  if (r.remaining() < idx.payload_bytes) throw CodecError("pyramid: payload truncated");
-
-  // Level 0's tiled preamble (O(1) peek) supplies the codec + brick edge and
-  // cross-checks the finest extents and error bound.
-  const tiled::Index fine = tiled::read_geometry(idx.level_stream(stream, 0));
-  if (fine.dims != idx.dims)
-    throw CodecError("pyramid: level 0 stream extents disagree with the level table");
-  if (fine.eb != idx.eb)
-    throw CodecError("pyramid: level 0 stream error bound disagrees with the header");
-  idx.codec = fine.codec;
-  idx.codec_magic = fine.codec_magic;
-  idx.brick = fine.brick;
+  level_table::read_geometry(stream, kFormat, idx);
   return idx;
 }
 
 Index read_index(std::span<const std::byte> stream) {
   Index idx = read_geometry(stream);
-  // Every nested stream must be a tiled stream of exactly the level table's
-  // extents, same codec, same bound — a mismatch means the table points at
-  // the wrong bytes.
-  for (std::size_t l = 1; l < idx.levels.size(); ++l) {
-    const tiled::Index li = tiled::read_geometry(idx.level_stream(stream, l));
-    if (li.dims != idx.levels[l].dims)
-      throw CodecError("pyramid: level " + std::to_string(l) +
-                       " stream extents disagree with the level table");
-    if (li.codec_magic != idx.codec_magic)
-      throw CodecError("pyramid: level " + std::to_string(l) + " codec mismatch");
-    if (li.eb != idx.eb)
-      throw CodecError("pyramid: level " + std::to_string(l) + " error bound mismatch");
-  }
+  level_table::check_levels(stream, kFormat, idx, idx.codec_magic);
   return idx;
 }
 
 FieldF decompress_level(std::span<const std::byte> stream, int level, int threads) {
-  const Index idx = read_index(stream);
-  MRC_REQUIRE(level >= 0 && level < static_cast<int>(idx.levels.size()),
-              "pyramid: level out of range");
   OBS_SPAN("pyramid.level_decode");
-  return tiled::decompress(idx.level_stream(stream, static_cast<std::size_t>(level)),
-                           threads);
+  const Dim3 dims = level_dims(peek_header(stream).dims, level);
+  return read_region(stream, level, tiled::full_box(dims), threads).data;
 }
 
 tiled::RegionRead read_region(std::span<const std::byte> stream, int level,

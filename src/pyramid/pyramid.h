@@ -8,44 +8,32 @@
 // random-access region reads — and the pyramid adds a small validated level
 // table in front of the concatenated level streams.
 //
-// Stream layout (container header v4 under kPyramidMagic):
-//   shared container header      finest-grid extents + absolute error bound
-//   varint  n_levels             >= 1, halving chain
-//   varint  payload_bytes        total size of the level payload section
-//   per level:                   varint offset, varint length,
-//                                varint nx,ny,nz (level extents),
-//                                f32 vmin, f32 vmax, f32 approx_err
-//   payload                      concatenated tiled (MRCT) streams, finest first
-//
-// Level extents are pinned to the halving chain — level l must have extents
-// ceil_div(dims, 2^l) — and the level streams must tile the payload exactly
-// (contiguous, non-overlapping, summing to payload_bytes), so hostile level
-// counts, overlapping level records, or truncated tails all fail with a
-// clean CodecError before any nested stream is touched, and never size an
-// allocation from an unvalidated claim.
+// Stream layout (container header v4 under kPyramidMagic): the level table
+// of pyramid/level_table.h — records ending in f32 vmin, f32 vmax, f32
+// approx_err — in front of the concatenated tiled (MRCT) level streams,
+// finest first. The shared reader validates the table (halving chain, exact
+// payload tiling, hostile level counts, nested preambles) before any nested
+// stream is touched or any allocation is sized from a claim.
 //
 // `approx_err` is the level's fitness for adaptive LOD selection: an upper
 // bound on max|prolong_trilinear(level) - finest| + codec eb, measured at
 // build time. Level 0's approx_err is the codec error bound itself.
 
+#include <array>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "pyramid/level_table.h"
 #include "tiled/tiled.h"
-
-namespace mrc::exec {
-class ThreadPool;
-}
 
 namespace mrc::pyramid {
 
 /// Container-header stream id of a pyramid stream.
 inline constexpr std::uint32_t kPyramidMagic = 0x5043'524d;  // "MRCP"
 
-/// Hard cap on the level chain: 2^40 exceeds any index_t extent, so deeper
-/// claims are hostile by construction.
-inline constexpr int kMaxLevels = 40;
+/// Hard cap on the level chain (shared with the progressive container).
+inline constexpr int kMaxLevels = level_table::kMaxLevels;
 
 struct Config {
   std::string codec = "interp";  ///< any registry name, applied per brick
@@ -56,31 +44,20 @@ struct Config {
   int levels = 0;
 };
 
-/// One record of the level table.
-struct LevelEntry {
-  std::uint64_t offset = 0;  ///< within the payload section
-  std::uint64_t length = 0;  ///< bytes of this level's tiled stream
-  Dim3 dims;                 ///< level extents (= ceil_div(fine, 2^level))
+/// One record of the level table: the shared leading fields, then the value
+/// range and the LOD error bound.
+struct LevelEntry : level_table::Record {
   float vmin = 0.0f;         ///< value range over the level's samples
   float vmax = 0.0f;
   float approx_err = 0.0f;   ///< LOD error bound vs the finest grid (above)
+
+  static constexpr std::array<float LevelEntry::*, 3> kRecordFloats{
+      &LevelEntry::vmin, &LevelEntry::vmax, &LevelEntry::approx_err};
 };
 
-/// Parsed + validated level table of a pyramid stream.
-struct Index {
-  Dim3 dims;          ///< finest-grid extents
-  double eb = 0.0;    ///< absolute codec error bound (every level)
-  std::string codec;  ///< per-brick codec of level 0 (all levels match)
-  std::uint32_t codec_magic = 0;
-  index_t brick = 0;  ///< brick edge of level 0
-  std::size_t payload_offset = 0;  ///< absolute offset of the payload section
-  std::uint64_t payload_bytes = 0;
-  std::vector<LevelEntry> levels;  ///< [0] = finest
-
-  /// The sub-span of `stream` holding level `l`'s complete tiled stream.
-  [[nodiscard]] std::span<const std::byte> level_stream(
-      std::span<const std::byte> stream, std::size_t l) const;
-};
+/// Parsed + validated level table of a pyramid stream (all levels share
+/// level 0's codec).
+using Index = level_table::Table<LevelEntry>;
 
 /// Extents of level `l` of a pyramid over a `fine`-extent field.
 [[nodiscard]] Dim3 level_dims(Dim3 fine, int level);

@@ -3,8 +3,10 @@
 // Cached Dataset serving layer over the multi-resolution containers: open a
 // tiled stream (MRCT), a LOD pyramid (MRCP), an adaptive stream (MRCA) or a
 // progressive residual stream (MRCR) once, then answer region queries with
-// a working set bounded by a byte budget instead of the request size. The
-// pieces:
+// a working set bounded by a byte budget instead of the request size.
+// Dataset never branches on the container: it runs the container's own
+// region assembly (source::BrickSource) with the brick cache as its fetch.
+// The pieces:
 //
 //   * a shared, sharded, byte-budgeted brick cache (serve::BrickCache) so
 //     repeated viewport queries decode each brick once. A standalone Dataset
@@ -23,40 +25,29 @@
 //     so callers ask for a window and a budget, not a level.
 //
 // Dataset is safe to hammer from any number of threads: every read is
-// bit-identical to tiled/pyramid/adaptive read_region on the same
-// (level, box), whatever the cache/prefetch state. stats() returns an
-// atomically consistent snapshot: `hits + misses == lookups` holds exactly
-// in any snapshot, concurrent load included (counters are mutated only
-// under the cache's shard locks — see brick_cache.h). Adaptive and tiled
-// streams expose one addressable level (0); for adaptive that is the
-// seam-free blended finest grid, and what varies is the stored resolution
-// underneath, which is the container's business.
+// bit-identical to the container's read_region on the same (level, box),
+// whatever the cache/prefetch state. stats() returns an atomically
+// consistent snapshot: `hits + misses == lookups` holds exactly in any
+// snapshot, concurrent load included (counters are mutated only under the
+// cache's shard locks — see brick_cache.h). Adaptive and tiled streams
+// expose one addressable level (0); for adaptive that is the seam-free
+// blended finest grid, and what varies is the stored resolution underneath,
+// which is the container's business.
 
 #include <cstdint>
 #include <memory>
-
 #include <vector>
 
-#include "adaptive/adaptive.h"
 #include "common/bytes.h"
-#include "progressive/progressive.h"
-#include "pyramid/pyramid.h"
 #include "serve/brick_cache.h"
+#include "source/brick_source.h"
 
 namespace mrc::serve {
 
-/// One layer of a progressive read: the coarsest layer carries decoded
-/// data over its box; every finer layer carries a *residual* window the
-/// client applies in place via progressive::refine. Boxes are in each
-/// layer's own level coordinates and follow the prolongation-support chain
-/// (layer l+1's box covers the prolongation footprint of layer l's).
-struct ProgressiveLayer {
-  int level = 0;
-  Dim3 level_dims;  ///< global extents of this level (client prolongs with these)
-  tiled::Box box;
-  FieldF data;
-  bool residual = false;  ///< false only for the coarsest layer
-};
+/// One layer of a progressive read (progressive::Layer): the coarsest layer
+/// carries decoded data over its box, every finer layer a residual window
+/// the client applies in place via progressive::refine.
+using ProgressiveLayer = progressive::Layer;
 
 struct Config {
   std::size_t cache_bytes = 256ull << 20;  ///< decoded-brick byte budget
@@ -67,11 +58,9 @@ struct Config {
 
 class Dataset {
  public:
-  enum class Kind : std::uint8_t { tiled, pyramid, adaptive, progressive };
-
   /// Opens a tiled (MRCT), pyramid (MRCP), adaptive (MRCA) or progressive
-  /// (MRCR) stream — dispatched on the container header — taking ownership
-  /// of the bytes and parsing + validating the full index once. Builds a
+  /// (MRCR) stream through source::open, taking ownership of the bytes and
+  /// parsing + validating the full index once. Builds a
   /// private cache (cfg.cache_bytes, cfg.shards) and exec pool
   /// (cfg.threads). Throws CodecError on any other stream.
   explicit Dataset(Bytes stream, const Config& cfg = {});
@@ -89,15 +78,6 @@ class Dataset {
   Dataset(const Dataset&) = delete;
   Dataset& operator=(const Dataset&) = delete;
 
-  [[nodiscard]] Kind kind() const;
-  /// The tile index of a tiled dataset (throws ContractError otherwise).
-  [[nodiscard]] const tiled::Index& tiled_index() const;
-  /// The pyramid index (pyramid datasets only; throws ContractError else).
-  [[nodiscard]] const pyramid::Index& index() const;
-  /// The adaptive brick index (adaptive datasets only).
-  [[nodiscard]] const adaptive::Index& adaptive_index() const;
-  /// The progressive level table (progressive datasets only).
-  [[nodiscard]] const progressive::Index& progressive_index() const;
   /// Addressable level count: the pyramid's/progressive stream's level
   /// table, or 1 for tiled and adaptive streams (adaptive level 0 = the
   /// blended finest grid).
@@ -114,10 +94,11 @@ class Dataset {
   /// region), or to adaptive::read_region(stream, region) for adaptive
   /// datasets (which serve only level 0, in finest-grid coordinates). For
   /// progressive datasets the cache holds residual bricks keyed by their own
-  /// level and the reconstruction chain runs here, top-down.
+  /// level and the reconstruction chain runs above it, top-down.
   [[nodiscard]] FieldF read_region(int level, const tiled::Box& region);
 
-  /// The layered form of a progressive read (progressive datasets only):
+  /// The layered form of a progressive read (progressive datasets only;
+  /// ContractError otherwise):
   /// the coarsest layer's decoded data over the support chain's top box,
   /// then one residual window per finer level down to `level`, coarsest
   /// first. Folding the layers with progressive::refine reproduces

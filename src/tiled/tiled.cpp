@@ -33,25 +33,37 @@ inline constexpr std::size_t kMinTileRecord = 16;
 
 }  // namespace
 
-FieldF decode_tile(const Index& idx, const Compressor& codec,
-                   std::span<const std::byte> stream, std::size_t t) {
-  MRC_REQUIRE(t < idx.tiles.size(), "decode_tile: tile id out of range");
+Reader::Reader(std::span<const std::byte> stream)
+    : bytes(stream),
+      index(read_index(stream)),
+      codec(registry().make_for_magic(index.codec_magic)) {}
+
+FieldF Reader::decode(index_t t) const {
+  MRC_REQUIRE(t >= 0 && static_cast<std::size_t>(t) < index.tiles.size(),
+              "tiled: tile id out of range");
   static obs::Counter& bricks =
       obs::Registry::global().counter("mrc.tiled.bricks_decoded");
   bricks.add(1);
   OBS_SPAN("tiled.brick_decode");
-  const TileEntry& e = idx.tiles[t];
-  const auto payload = stream.subspan(idx.payload_offset,
-                                      static_cast<std::size_t>(idx.payload_bytes));
+  const TileEntry& e = index.tiles[static_cast<std::size_t>(t)];
+  const auto payload = bytes.subspan(index.payload_offset,
+                                     static_cast<std::size_t>(index.payload_bytes));
   const auto brick_stream =
       payload.subspan(static_cast<std::size_t>(e.offset), static_cast<std::size_t>(e.length));
-  const FieldF b = codec.decompress(brick_stream);
+  const FieldF b = codec->decompress(brick_stream);
   if (b.dims() != e.stored)
     throw CodecError("tiled: brick " + std::to_string(t) + " decodes to " +
                      b.dims().str() + ", index says " + e.stored.str());
   return b;
 }
 
+BrickFetch Reader::direct() const {
+  return [this](index_t t) { return std::make_shared<const FieldF>(decode(t)); };
+}
+
+namespace {
+
+/// Tile ids of the bricks whose cores intersect `region` (x fastest).
 std::vector<index_t> tiles_in_region(const Index& idx, const Box& region) {
   const Dim3 ext = region.extent();
   MRC_REQUIRE(region.lo.x >= 0 && region.lo.y >= 0 && region.lo.z >= 0 &&
@@ -70,6 +82,8 @@ std::vector<index_t> tiles_in_region(const Index& idx, const Box& region) {
   return hit;
 }
 
+/// Copies core(t) ∩ `region` of the decoded brick `b` into `out` (extents
+/// region.extent()); safe to run for distinct bricks concurrently.
 void copy_core(const Index& idx, std::size_t t, const FieldF& b, const Box& region,
                FieldF& out) {
   const TileEntry& e = idx.tiles[t];
@@ -85,6 +99,8 @@ void copy_core(const Index& idx, std::size_t t, const FieldF& b, const Box& regi
       std::copy_n(&b.at(x0 - e.origin.x, y - e.origin.y, z - e.origin.z), x1 - x0,
                   &out.at(x0 - region.lo.x, y - region.lo.y, z - region.lo.z));
 }
+
+}  // namespace
 
 Dim3 Index::core_extent(std::size_t t) const {
   const Coord3 tc = tile_coord(grid, static_cast<index_t>(t));
@@ -254,23 +270,30 @@ Index read_index(std::span<const std::byte> stream) {
   return idx;
 }
 
-RegionRead read_region(std::span<const std::byte> stream, const Box& region, int threads) {
-  const Index idx = read_index(stream);
-  const std::vector<index_t> hit = tiles_in_region(idx, region);
-
-  RegionRead out;
+FieldF assemble(const Index& idx, const Box& region, const BrickFetch& fetch,
+                exec::ThreadPool& pool, std::vector<index_t>* hit) {
+  std::vector<index_t> tiles = tiles_in_region(idx, region);
   // The brick cores tile the region, so every sample is written by exactly
   // one lane's copy_core: no zero-fill, and the pages fault in on the lanes.
-  out.data = FieldF(region.extent(), uninit);
-  out.tiles_total = idx.tiles.size();
-  out.tiles_decoded = hit.size();
-
-  const auto codec = registry().make_for_magic(idx.codec_magic);
-  exec::ThreadPool pool(threads);
-  pool.parallel_for(static_cast<index_t>(hit.size()), [&](index_t i) {
-    const auto t = static_cast<std::size_t>(hit[static_cast<std::size_t>(i)]);
-    copy_core(idx, t, decode_tile(idx, *codec, stream, t), region, out.data);
+  // The brick pointer is held for the copy, so the result stays exact even
+  // if a cache evicts the brick at once.
+  FieldF out(region.extent(), uninit);
+  pool.parallel_for(static_cast<index_t>(tiles.size()), [&](index_t i) {
+    const index_t t = tiles[static_cast<std::size_t>(i)];
+    copy_core(idx, static_cast<std::size_t>(t), *fetch(t), region, out);
   });
+  if (hit != nullptr) *hit = std::move(tiles);
+  return out;
+}
+
+RegionRead read_region(std::span<const std::byte> stream, const Box& region, int threads) {
+  const Reader reader(stream);
+  exec::ThreadPool pool(threads);
+  std::vector<index_t> hit;
+  RegionRead out;
+  out.data = assemble(reader.index, region, reader.direct(), pool, &hit);
+  out.tiles_total = reader.index.tiles.size();
+  out.tiles_decoded = hit.size();
   return out;
 }
 

@@ -25,12 +25,18 @@
 // to exactly one brick's core; overlap samples are decode redundancy only,
 // which is what makes read_region bit-identical to a full decompress.
 
+#include <functional>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "compressors/registry.h"
 #include "grid/field.h"
+
+namespace mrc::exec {
+class ThreadPool;
+}
 
 namespace mrc::tiled {
 
@@ -125,24 +131,39 @@ struct RegionRead {
 [[nodiscard]] RegionRead read_region(std::span<const std::byte> stream, const Box& region,
                                      int threads = 1);
 
-/// Decodes the single brick `t` of a parsed stream and validates its extents
-/// against the index record. `codec` must match idx.codec_magic (one
-/// stateless instance can serve any number of threads). This is the unit the
-/// serve-layer brick cache is built on.
-[[nodiscard]] FieldF decode_tile(const Index& idx, const Compressor& codec,
-                                 std::span<const std::byte> stream, std::size_t t);
+/// A decoded brick, shared by whoever holds it: an assembly lane, the
+/// serve-layer cache.
+using BrickPtr = std::shared_ptr<const FieldF>;
 
-/// Tile ids of the bricks whose cores intersect `region` (x fastest), i.e.
-/// exactly the bricks a region read must decode.
-[[nodiscard]] std::vector<index_t> tiles_in_region(const Index& idx, const Box& region);
+/// Supplies decoded brick `t` to an assembly: a direct decode, or the serve
+/// layer's cache lookup. Called concurrently from the pool lanes.
+using BrickFetch = std::function<BrickPtr(index_t t)>;
 
-/// Copies core(t) ∩ `region` of the decoded brick `b` into `out`, whose
-/// extents are region.extent(). Brick cores partition the field, so copying
-/// every brick tiles_in_region returns writes each sample of `out` exactly
-/// once, from its owning brick: bit-identical to a full decompress, and
-/// safe to run for distinct bricks concurrently.
-void copy_core(const Index& idx, std::size_t t, const FieldF& b, const Box& region,
-               FieldF& out);
+/// A tiled stream opened for brick decodes: its bytes, its full index and
+/// one stateless codec instance that serves any number of lanes. This is
+/// the unit region reads and the serve-layer brick cache are built on.
+struct Reader {
+  std::span<const std::byte> bytes;
+  Index index;
+  std::unique_ptr<Compressor> codec;
+
+  /// Parses and validates the full index (read_index). Throws CodecError.
+  explicit Reader(std::span<const std::byte> stream);
+  /// Decodes brick `t` and validates its extents against the index record.
+  [[nodiscard]] FieldF decode(index_t t) const;
+  /// A fetch that decodes every brick directly.
+  [[nodiscard]] BrickFetch direct() const;
+};
+
+/// The one region assembly of a tiled level, shared by read_region (direct
+/// decodes) and the serve layer (cached bricks): each lane fetches one
+/// intersecting brick, copies its core ∩ `region` and drops it, so peak
+/// memory stays at one brick per lane. The brick cores partition the field,
+/// so every sample is written exactly once, from its owning brick: the read
+/// is bit-identical to a full decompress. `hit` (if non-null) receives the
+/// brick ids read.
+[[nodiscard]] FieldF assemble(const Index& idx, const Box& region, const BrickFetch& fetch,
+                              exec::ThreadPool& pool, std::vector<index_t>* hit = nullptr);
 
 /// Tile-grid coordinate of tile id `t` (ids are x fastest).
 [[nodiscard]] Coord3 tile_coord(const Dim3& grid, index_t t);

@@ -379,11 +379,12 @@ TEST(ServeAdaptive, DatasetBitIdenticalToDirectReads) {
   serve::Config sc;
   sc.threads = 4;
   serve::Dataset ds(Bytes(stream), sc);
-  EXPECT_EQ(ds.kind(), serve::Dataset::Kind::adaptive);
+  EXPECT_EQ(api::info(stream).kind, api::StreamInfo::Kind::adaptive);
   EXPECT_EQ(ds.levels(), 1);
   EXPECT_EQ(ds.dims(0), d);
-  EXPECT_THROW((void)ds.index(), ContractError);
-  EXPECT_EQ(ds.adaptive_index().grid, (Dim3{3, 3, 3}));
+  // Layered reads are MRCR-only.
+  EXPECT_THROW((void)ds.read_progressive(0, {{0, 0, 0}, {1, 1, 1}}), ContractError);
+  EXPECT_EQ(read_index(stream).grid, (Dim3{3, 3, 3}));
 
   const std::vector<tiled::Box> boxes = {
       {{0, 0, 0}, {d.nx, d.ny, d.nz}},

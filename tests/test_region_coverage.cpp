@@ -190,6 +190,36 @@ TEST_P(RegionCoverage, WireClientReadsMatchFullDecode) {
   }
 }
 
+TEST_P(RegionCoverage, FullDecodeIsLaneInvariantOnEveryContainer) {
+  // Every container decodes through the source factory (api::decompress,
+  // mrcc decompress threads=N) at any lane count to the same bits as its
+  // own full decode.
+  const FieldF f = source_field();
+  const auto opt = options(GetParam());
+  const Bytes mrct = api::compress_tiled(f, opt);
+  const Bytes mrcp = api::build_pyramid(f, opt);
+  const Bytes mrca = api::compress_adaptive_roi(f, opt);
+  const Bytes mrcr = api::build_progressive(f, opt);
+  const struct {
+    const char* name;
+    const Bytes& stream;
+    FieldF own;
+  } cases[] = {{"tiled", mrct, tiled::decompress(mrct, 1)},
+               {"pyramid", mrcp, pyramid::decompress_level(mrcp, 0, 1)},
+               {"adaptive", mrca, adaptive::decompress(mrca, 1)},
+               {"progressive", mrcr, progressive::decompress_level(mrcr, 0, 1)}};
+  for (const auto& c : cases) {
+    expect_all_finite(c.own, std::string(c.name) + " own full decode");
+    for (const int lanes : {1, 4})
+      expect_bits_equal(api::decompress(c.stream, lanes), c.own,
+                        std::string(c.name) + " at " + std::to_string(lanes) + " lanes");
+  }
+  // The coarser levels of the multi-level containers, at 1 and 4 lanes.
+  EXPECT_EQ(pyramid::decompress_level(mrcp, 1, 4), pyramid::decompress_level(mrcp, 1, 1));
+  EXPECT_EQ(progressive::decompress_level(mrcr, 1, 4),
+            progressive::decompress_level(mrcr, 1, 1));
+}
+
 INSTANTIATE_TEST_SUITE_P(Codecs, RegionCoverage,
                          ::testing::Values("interp", "lorenzo", "zfpx"),
                          [](const auto& info) { return std::string(info.param); });

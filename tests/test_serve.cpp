@@ -63,7 +63,7 @@ TEST(Serve, OpensTiledStreamsAsSingleLevelDatasets) {
   const FieldF f = test::smooth_field({16, 16, 16});
   const Bytes stream = api::compress_tiled(f);
   serve::Dataset ds(stream, no_prefetch());
-  EXPECT_EQ(ds.kind(), serve::Dataset::Kind::tiled);
+  EXPECT_EQ(api::info(stream).kind, api::StreamInfo::Kind::tiled);
   EXPECT_EQ(ds.levels(), 1);
   EXPECT_EQ(ds.dims(0), (Dim3{16, 16, 16}));
   EXPECT_GT(ds.eb(), 0.0);

@@ -3,7 +3,8 @@
 # (always on in CMakeLists), print any compiler warnings, run ctest — then
 # repeat the test suite under AddressSanitizer (second cmake preset) so the
 # thread-pool / tiled-index code is leak- and overflow-checked on every
-# verify, and finally run the concurrency-heavy suites (exec pool, tiled,
+# verify, then under UndefinedBehaviorSanitizer (<build-dir>-ubsan, every
+# report fatal), and finally run the concurrency-heavy suites (exec pool, tiled,
 # pyramid, serve-layer cache + prefetch, sharded entropy decode — the repo's
 # shared mutable state) under ThreadSanitizer (third preset, <build-dir>-tsan), then an
 # observability smoke (traced `mrcc tiled` validated by
@@ -32,7 +33,7 @@
 # MRC_SKIP_ASAN=1 / MRC_SKIP_TSAN=1 / MRC_SKIP_OBS=1 / MRC_SKIP_BENCH=1 to
 # skip those passes.
 # Usage: tools/ci.sh [build-dir]   (default: build; sanitizer presets use
-# <build-dir>-asan and <build-dir>-tsan)
+# <build-dir>-asan, <build-dir>-ubsan and <build-dir>-tsan)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -65,6 +66,19 @@ if [ "${MRC_SKIP_ASAN:-0}" != "1" ]; then
   ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1}" \
       ctest --test-dir "$ASAN_DIR" --output-on-failure -j"$(nproc)"
 fi
+
+# UndefinedBehaviorSanitizer over the full suite, in its own tree. The
+# flags go in through CMAKE_CXX_FLAGS (compile and link), so MRC_SANITIZE
+# keeps its values; -fno-sanitize-recover turns every report into a test
+# failure instead of a log line.
+echo
+echo "== UndefinedBehaviorSanitizer pass =="
+UBSAN_DIR="${BUILD_DIR}-ubsan"
+cmake -B "$UBSAN_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    -DCMAKE_CXX_FLAGS="-fsanitize=undefined -fno-sanitize-recover=undefined" > /dev/null
+cmake --build "$UBSAN_DIR" -j"$(nproc)" --target mrc_tests > /dev/null
+UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1}" \
+    ctest --test-dir "$UBSAN_DIR" --output-on-failure -j"$(nproc)"
 
 if [ "${MRC_SKIP_TSAN:-0}" != "1" ]; then
   echo

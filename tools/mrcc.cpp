@@ -9,9 +9,9 @@
 //   mrcc decompress <in> <out.f32> [threads=N]   (threads applies to brick containers)
 //   mrcc snapshot   <in.f32> <nx> <ny> <nz> <out> [roi_fraction] [rel_eb] [key=value ...]
 //   mrcc restore    <in.snapshot> <out.f32>
-//   mrcc region     <in.tiled> <x0> <y0> <z0> <x1> <y1> <z1> [--out=<file.raw>]
-//                   [--progressive [--level=L]] [key=value ...]
-//   mrcc lod        <in.mrcp> <x0> <y0> <z0> <x1> <y1> <z1>
+//   mrcc region     <in> <x0> <y0> <z0> <x1> <y1> <z1> [--level=L] [--out=<file.raw>]
+//                   [--progressive] [key=value ...]
+//   mrcc lod        <in> <x0> <y0> <z0> <x1> <y1> <z1>
 //                   [--budget=<samples> | --eb_budget=<err> | --level=<l>]
 //                   [--out=<file.raw>] [key=value ...]
 //   mrcc metrics    <orig.raw> <recon.raw>
@@ -44,15 +44,15 @@
 // writes the progressive residual container (MRCR: coarsest level verbatim
 // + per-level residual streams) and prints its level table — per-level
 // bytes, residual entropy, and the cumulative telescoped error bound.
-// "region" reads a half-open [x0,x1)x[y0,y1)x[z0,z1) box back out of a
-// tiled stream, decoding only the intersecting bricks (an MRCR operand is
-// read in-process at --level instead); with --progressive
-// it instead streams the box coarse-first out of an MRCR stream through an
-// in-process wire server (one `progressive` request, N refinement frames)
-// and prints the bytes streamed per level. The box is then in level-L
-// coordinates (--level, default 0, the finest); "lod" serves the same kind of box
-// (in finest-grid coordinates) from a pyramid through the cached Dataset
-// layer, picking the cheapest sufficient level for a sample or error budget
+// "region" reads a half-open [x0,x1)x[y0,y1)x[z0,z1) box, in level-L
+// coordinates (--level, default 0, the finest), back out of any brick
+// container (tiled, pyramid, adaptive or progressive), decoding only the
+// bricks the read needs; with --progressive it instead streams the box
+// coarse-first out of an MRCR stream through an in-process wire server (one
+// `progressive` request, N refinement frames) and prints the bytes
+// streamed per level; "lod" serves the same kind of box (in finest-grid
+// coordinates) from any brick container through the cached Dataset layer,
+// picking the cheapest sufficient level for a sample or error budget
 // unless --level pins one. "serve" opens every operand stream (MRCT / MRCP /
 // MRCA, any mix) in one multi-tenant serve::Server — one global cache_mb
 // brick cache, one exec pool — drives K simulated clients through the wire
@@ -71,8 +71,8 @@
 // --out writes the result as a self-describing
 // .raw file (io::write_raw: extents header + f32 payload). "decompress"
 // accepts any mrcomp stream — codec choice is read from the stream header;
-// snapshots are restored, tiled streams reassembled, pyramids decoded at
-// full resolution, adaptive streams reconstructed seam-free. "metrics"
+// snapshots are restored, and every brick container decodes its finest
+// level on threads=N lanes (adaptive streams seam-free). "metrics"
 // prints PSNR / RMSE / max error / SSIM between two .raw fields (the
 // dormant metrics/ modules wired to the CLI). "info" reports kind, codec,
 // dims, and error bound from the header alone, without decompressing —
@@ -96,6 +96,7 @@
 #include "obs/flight.h"
 #include "obs/obs.h"
 #include "serve/wire.h"
+#include "source/brick_source.h"
 #include "metrics/psnr.h"
 #include "metrics/ssim.h"
 
@@ -228,9 +229,9 @@ int usage() {
       "[key=value ...]\n"
       "  mrcc restore    <in.snapshot> <out.f32>\n"
       "  mrcc metrics    <orig.raw> <recon.raw>\n"
-      "  mrcc region     <in.tiled> <x0> <y0> <z0> <x1> <y1> <z1> [--out=<file.raw>] "
-      "[--progressive [--level=L]] [key=value ...]\n"
-      "  mrcc lod        <in.mrcp> <x0> <y0> <z0> <x1> <y1> <z1> [--budget=<samples> | "
+      "  mrcc region     <in> <x0> <y0> <z0> <x1> <y1> <z1> [--level=L] "
+      "[--out=<file.raw>] [--progressive] [key=value ...]\n"
+      "  mrcc lod        <in> <x0> <y0> <z0> <x1> <y1> <z1> [--budget=<samples> | "
       "--eb_budget=<err> | --level=<l>] [--out=<file.raw>] [key=value ...]\n"
       "  mrcc info       <in> [--tiles]\n"
       "  mrcc serve      <stream...> [--clients=K] [--reads=N] "
@@ -386,27 +387,21 @@ int run(int argc, char** argv) {
       }
       return res.complete() ? 0 : 1;
     }
+    // Any brick container, in-process at --level (default 0, the finest);
+    // for MRCR the same bytes the streamed read refines to.
     api::Options opt;
     apply_args(opt, args, "threads");
-    if (api::info(stream).kind == api::StreamInfo::Kind::progressive) {
-      // MRCR without --progressive: plain in-process read at --level
-      // (default 0, the finest) — same bytes the streamed read refines to.
-      const int level = static_cast<int>(parse_ll(level_s.c_str(), "level"));
-      const FieldF data = progressive::read_region(stream, level, box, opt.threads);
-      std::printf("region %s: progressive level %d\n", data.dims().str().c_str(),
-                  level);
-      if (have_out) {
-        io::write_raw(data, out_path);
-        std::printf("wrote %s (self-describing raw: extents + f32 payload)\n",
-                    out_path.c_str());
-      }
-      return 0;
-    }
-    const auto rr = tiled::read_region(stream, box, opt.threads);
-    std::printf("region %s: decoded %zu of %zu bricks\n", rr.data.dims().str().c_str(),
-                rr.tiles_decoded, rr.tiles_total);
+    const int level = static_cast<int>(parse_ll(level_s.c_str(), "level"));
+    const auto src = source::open(stream);
+    std::size_t decoded = 0;
+    const FieldF data = source::read(*src, level, box, opt.threads, &decoded);
+    index_t total = 0;
+    for (int l = 0; l < src->levels(); ++l) total += src->grid(l).size();
+    std::printf("region %s: decoded %zu of %lld bricks (level %d of %d)\n",
+                data.dims().str().c_str(), decoded, static_cast<long long>(total), level,
+                src->levels());
     if (have_out) {
-      io::write_raw(rr.data, out_path);
+      io::write_raw(data, out_path);
       std::printf("wrote %s (self-describing raw: extents + f32 payload)\n",
                   out_path.c_str());
     }
@@ -461,17 +456,9 @@ int run(int argc, char** argv) {
     const auto meta = api::info(stream);
     api::Options opt;
     apply_args(opt, tail_args(argv + 4, argv + argc), "threads");
-    // The brick-parallel containers honor threads=; everything else decodes
-    // through the facade's single-lane dispatch.
-    FieldF f;
-    if (meta.kind == api::StreamInfo::Kind::tiled)
-      f = tiled::decompress(stream, opt.threads);
-    else if (meta.kind == api::StreamInfo::Kind::pyramid)
-      f = pyramid::decompress_level(stream, /*level=*/0, opt.threads);
-    else if (meta.kind == api::StreamInfo::Kind::adaptive)
-      f = adaptive::decompress(stream, opt.threads);
-    else
-      f = api::decompress(stream);
+    // The brick containers decode on threads= lanes; everything else
+    // decodes single-lane.
+    const FieldF f = api::decompress(stream, opt.threads);
     write_raw_floats(f, argv[3]);
     std::printf("%s %s stream, %s -> %s\n", kind_str(meta.kind), meta.codec.c_str(),
                 f.dims().str().c_str(), argv[3]);
