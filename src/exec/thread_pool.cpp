@@ -32,6 +32,16 @@ struct LaneScope {
 
 bool on_pool_lane() { return t_on_pool_lane; }
 
+void parallel_for(index_t n, const std::function<void(index_t)>& body) {
+  if (n <= 0) return;
+  if (on_pool_lane()) {
+    for (index_t i = 0; i < n; ++i) body(i);
+    return;
+  }
+  ThreadPool pool(static_cast<int>(std::min<index_t>(n, hardware_threads())));
+  pool.parallel_for(n, body);
+}
+
 ThreadPool::ThreadPool(int threads) {
   MRC_REQUIRE(threads >= 0, "negative thread count");
   if (threads == 0) threads = hardware_threads();

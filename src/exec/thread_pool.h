@@ -61,6 +61,12 @@ namespace mrc::exec {
 /// machine.
 [[nodiscard]] bool on_pool_lane();
 
+/// Runs body(i) for i in [0, n): serially when the caller is already on a
+/// pool lane (the outer loop is using the machine), otherwise on a local
+/// pool of min(n, hardware_threads()) lanes. The library's data-parallel
+/// loops run through this. Rethrows the first exception of `body`.
+void parallel_for(index_t n, const std::function<void(index_t)>& body);
+
 /// Scheduling class of a pool task. High tasks preempt (queue ahead of) low
 /// ones; within a class the queue is FIFO.
 enum class Priority : std::uint8_t { high, low };

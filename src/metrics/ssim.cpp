@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
+#include "exec/thread_pool.h"
 #include "grid/field_ops.h"
 
 namespace mrc::metrics {
@@ -17,39 +19,42 @@ double ssim_impl(const FieldF& a, const FieldF& b, index_t wx, index_t wy, index
   const double c2 = (k2 * range) * (k2 * range);
   const double inv_n = 1.0 / static_cast<double>(wx * wy * wz);
 
+  // One partial sum per (z0, y0) window row, added up in row order after
+  // the loop: the result is the same however many lanes ran the rows.
+  const index_t nxw = (d.nx - wx) / stride + 1;
+  const index_t nyw = (d.ny - wy) / stride + 1;
+  const index_t nzw = (d.nz - wz) / stride + 1;
+  std::vector<double> row_total(static_cast<std::size_t>(nyw * nzw));
+  exec::parallel_for(nyw * nzw, [&](index_t row) {
+    const index_t y0 = (row % nyw) * stride;
+    const index_t z0 = (row / nyw) * stride;
+    double total = 0.0;
+    for (index_t x0 = 0; x0 <= d.nx - wx; x0 += stride) {
+      double sa = 0, sb = 0, saa = 0, sbb = 0, sab = 0;
+      for (index_t k = 0; k < wz; ++k)
+        for (index_t j = 0; j < wy; ++j)
+          for (index_t i = 0; i < wx; ++i) {
+            const double va = a.at(x0 + i, y0 + j, z0 + k);
+            const double vb = b.at(x0 + i, y0 + j, z0 + k);
+            sa += va;
+            sb += vb;
+            saa += va * va;
+            sbb += vb * vb;
+            sab += va * vb;
+          }
+      const double mu_a = sa * inv_n;
+      const double mu_b = sb * inv_n;
+      const double var_a = std::max(0.0, saa * inv_n - mu_a * mu_a);
+      const double var_b = std::max(0.0, sbb * inv_n - mu_b * mu_b);
+      const double cov = sab * inv_n - mu_a * mu_b;
+      total += ((2 * mu_a * mu_b + c1) * (2 * cov + c2)) /
+               ((mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2));
+    }
+    row_total[static_cast<std::size_t>(row)] = total;
+  });
   double total = 0.0;
-  index_t count = 0;
-
-#if defined(MRC_HAVE_OPENMP)
-#pragma omp parallel for schedule(static) reduction(+ : total, count)
-#endif
-  for (index_t z0 = 0; z0 <= d.nz - wz; z0 += stride)
-    for (index_t y0 = 0; y0 <= d.ny - wy; y0 += stride)
-      for (index_t x0 = 0; x0 <= d.nx - wx; x0 += stride) {
-        double sa = 0, sb = 0, saa = 0, sbb = 0, sab = 0;
-        for (index_t k = 0; k < wz; ++k)
-          for (index_t j = 0; j < wy; ++j)
-            for (index_t i = 0; i < wx; ++i) {
-              const double va = a.at(x0 + i, y0 + j, z0 + k);
-              const double vb = b.at(x0 + i, y0 + j, z0 + k);
-              sa += va;
-              sb += vb;
-              saa += va * va;
-              sbb += vb * vb;
-              sab += va * vb;
-            }
-        const double mu_a = sa * inv_n;
-        const double mu_b = sb * inv_n;
-        const double var_a = std::max(0.0, saa * inv_n - mu_a * mu_a);
-        const double var_b = std::max(0.0, sbb * inv_n - mu_b * mu_b);
-        const double cov = sab * inv_n - mu_a * mu_b;
-        const double s = ((2 * mu_a * mu_b + c1) * (2 * cov + c2)) /
-                         ((mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2));
-        total += s;
-        ++count;
-      }
-  MRC_REQUIRE(count > 0, "field smaller than SSIM window");
-  return total / static_cast<double>(count);
+  for (const double t : row_total) total += t;
+  return total / static_cast<double>(nxw * nyw * nzw);
 }
 
 }  // namespace

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "common/rng.h"
+#include "exec/thread_pool.h"
 #include "grid/field_ops.h"
 
 namespace mrc::postproc {
@@ -91,21 +93,29 @@ IntensityResult tune_intensity(const SampleBlocks& samples, const Compressor& co
   // Per-dimension scan: a = 0 (off) competes against every candidate, so a
   // conservative zero intensity wins when post-processing cannot help
   // (the paper's low-CR behaviour).
+  // The sample blocks are small, so the (candidate, sample) pairs run in
+  // parallel and each block's sweep runs serially on its lane; the errors
+  // are then added in sample order.
+  const auto n_samples = static_cast<index_t>(decs.size());
+  std::vector<double> mse(candidates.size() * decs.size());
   double chosen[3] = {0.0, 0.0, 0.0};
   for (int axis = 0; axis < 3; ++axis) {
+    exec::parallel_for(static_cast<index_t>(mse.size()), [&](index_t k) {
+      const auto i = static_cast<std::size_t>(k % n_samples);
+      const double a = candidates[static_cast<std::size_t>(k / n_samples)];
+      mse[static_cast<std::size_t>(k)] = mse_between(
+          samples.originals[i],
+          bezier_postprocess_axis(decs[i], block_size, abs_eb, a, axis));
+    });
     double best_a = 0.0;
     double best_err = base;
-    for (const double a : candidates) {
+    for (std::size_t c = 0; c < candidates.size(); ++c) {
       double err = 0.0;
-      for (std::size_t i = 0; i < decs.size(); ++i) {
-        const FieldF proc = bezier_postprocess_axis(decs[i], block_size, abs_eb, a,
-                                                    axis);
-        err += mse_between(samples.originals[i], proc);
-      }
+      for (std::size_t i = 0; i < decs.size(); ++i) err += mse[c * decs.size() + i];
       err /= static_cast<double>(decs.size());
       if (err < best_err) {
         best_err = err;
-        best_a = a;
+        best_a = candidates[c];
       }
     }
     chosen[axis] = best_a;
@@ -116,9 +126,12 @@ IntensityResult tune_intensity(const SampleBlocks& samples, const Compressor& co
 
   // Sampled quality with the combined intensities.
   BezierParams p{block_size, abs_eb, result.ax, result.ay, result.az};
+  exec::parallel_for(n_samples, [&](index_t k) {
+    const auto i = static_cast<std::size_t>(k);
+    mse[i] = mse_between(samples.originals[i], bezier_postprocess(decs[i], p));
+  });
   double tuned = 0.0;
-  for (std::size_t i = 0; i < decs.size(); ++i)
-    tuned += mse_between(samples.originals[i], bezier_postprocess(decs[i], p));
+  for (std::size_t i = 0; i < decs.size(); ++i) tuned += mse[i];
   result.tuned_mse = tuned / static_cast<double>(decs.size());
   return result;
 }

@@ -3,21 +3,26 @@
 #include <cmath>
 #include <numbers>
 
+#include "exec/thread_pool.h"
+
 namespace mrc::sim {
 
 MiniWarpX::MiniWarpX(const Params& p)
     : params_(p), prev_(p.dims, 0.0f), cur_(p.dims, 0.0f), next_(p.dims, 0.0f) {
   MRC_REQUIRE(p.courant > 0.0 && p.courant < 0.577, "unstable Courant number");
+  // The source plane z = 4 must be interior, and the stencil needs an
+  // interior in x and y.
+  MRC_REQUIRE(p.dims.nx >= 3 && p.dims.ny >= 3 && p.dims.nz >= 6,
+              "MiniWarpX grid must be at least 3 x 3 x 6");
+  MRC_REQUIRE(p.source_period >= 1, "source period must be >= 1 step");
 }
 
 void MiniWarpX::step() {
   const Dim3 d = params_.dims;
   const double c2 = params_.courant * params_.courant;
 
-#if defined(MRC_HAVE_OPENMP)
-#pragma omp parallel for schedule(static)
-#endif
-  for (index_t z = 1; z < d.nz - 1; ++z)
+  exec::parallel_for(d.nz - 2, [&](index_t k) {
+    const index_t z = k + 1;
     for (index_t y = 1; y < d.ny - 1; ++y)
       for (index_t x = 1; x < d.nx - 1; ++x) {
         const double lap = cur_.at(x - 1, y, z) + cur_.at(x + 1, y, z) +
@@ -27,6 +32,7 @@ void MiniWarpX::step() {
         next_.at(x, y, z) = static_cast<float>(2.0 * cur_.at(x, y, z) - prev_.at(x, y, z) +
                                                c2 * lap);
       }
+  });
 
   // Gaussian-profile driven source near the low-z end (laser injection).
   const double amp = 1e11 * std::sin(2.0 * std::numbers::pi * step_ /

@@ -5,6 +5,7 @@
 #include <numbers>
 
 #include "common/rng.h"
+#include "exec/thread_pool.h"
 
 namespace mrc::uq {
 
@@ -39,10 +40,7 @@ FieldD crossing_probability(const FieldF& dec, double isovalue, const ErrorModel
   FieldD prob(cd);
   const double sigma = std::max(model.sigma, 1e-300);
 
-#if defined(MRC_HAVE_OPENMP)
-#pragma omp parallel for schedule(static)
-#endif
-  for (index_t z = 0; z < cd.nz; ++z)
+  exec::parallel_for(cd.nz, [&](index_t z) {
     for (index_t y = 0; y < cd.ny; ++y)
       for (index_t x = 0; x < cd.nx; ++x) {
         double corners[8];
@@ -58,6 +56,7 @@ FieldD crossing_probability(const FieldF& dec, double isovalue, const ErrorModel
         }
         prob.at(x, y, z) = std::clamp(1.0 - p_below - p_above, 0.0, 1.0);
       }
+  });
   return prob;
 }
 
@@ -67,10 +66,7 @@ FieldD crossing_probability_mc(const FieldF& dec, double isovalue, const ErrorMo
   const Dim3 cd = cell_dims(dec.dims());
   FieldD prob(cd);
 
-#if defined(MRC_HAVE_OPENMP)
-#pragma omp parallel for schedule(static)
-#endif
-  for (index_t z = 0; z < cd.nz; ++z) {
+  exec::parallel_for(cd.nz, [&](index_t z) {
     Rng rng(seed ^ (0x9e37u + static_cast<std::uint64_t>(z) * 0x1000193u));
     for (index_t y = 0; y < cd.ny; ++y)
       for (index_t x = 0; x < cd.nx; ++x) {
@@ -87,7 +83,7 @@ FieldD crossing_probability_mc(const FieldF& dec, double isovalue, const ErrorMo
         }
         prob.at(x, y, z) = static_cast<double>(crossings) / static_cast<double>(n_draws);
       }
-  }
+  });
   return prob;
 }
 

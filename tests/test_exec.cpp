@@ -12,7 +12,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/parallel.h"
 #include "exec/thread_pool.h"
 #include "obs/obs.h"
 
@@ -21,7 +20,6 @@ namespace {
 
 TEST(ThreadPool, HardwareThreadsAtLeastOne) {
   EXPECT_GE(exec::hardware_threads(), 1);
-  EXPECT_GE(max_threads(), 1);  // common/parallel.h delegates when OpenMP is absent
 }
 
 TEST(ThreadPool, SizeMatchesRequestedLanes) {
@@ -61,6 +59,27 @@ TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce) {
         ASSERT_EQ(hits[static_cast<std::size_t>(i)].load(), 1) << threads << " " << i;
     }
   }
+}
+
+TEST(ThreadPool, FreeParallelForCoversEveryIndexExactlyOnce) {
+  for (const index_t n : {index_t{0}, index_t{1}, index_t{7}, index_t{1000}}) {
+    std::vector<std::atomic<int>> hits(static_cast<std::size_t>(n));
+    exec::parallel_for(n, [&](index_t i) { hits[static_cast<std::size_t>(i)]++; });
+    for (index_t i = 0; i < n; ++i) ASSERT_EQ(hits[static_cast<std::size_t>(i)].load(), 1);
+  }
+}
+
+TEST(ThreadPool, FreeParallelForRunsSeriallyOnAPoolLane) {
+  std::atomic<int> off_lane{0}, calls{0};
+  exec::ThreadPool(2).parallel_for(2, [&](index_t) {
+    const auto lane = std::this_thread::get_id();
+    exec::parallel_for(64, [&](index_t) {
+      ++calls;
+      if (std::this_thread::get_id() != lane) ++off_lane;
+    });
+  });
+  EXPECT_EQ(calls.load(), 128);
+  EXPECT_EQ(off_lane.load(), 0);
 }
 
 TEST(ThreadPool, ParallelForHonoursGrain) {

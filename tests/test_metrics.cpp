@@ -3,6 +3,7 @@
 #include <cmath>
 #include <numbers>
 
+#include "grid/field_ops.h"
 #include "metrics/fft.h"
 #include "metrics/psnr.h"
 #include "metrics/spectrum.h"
@@ -75,6 +76,58 @@ TEST(Ssim, MoreDistortionLowerScore) {
 TEST(Ssim, CentralSliceWorks) {
   const FieldF f = test::smooth_field({32, 32, 8}, 50.0);
   EXPECT_NEAR(ssim_central_slice(f, f), 1.0, 1e-12);
+}
+
+/// Plain serial SSIM: one double sum over every window, in z, y, x order.
+double serial_ssim(const FieldF& a, const FieldF& b, index_t wx, index_t wy, index_t wz,
+                   index_t stride) {
+  const Dim3 d = a.dims();
+  const double c1 = (0.01 * a.value_range()) * (0.01 * a.value_range());
+  const double c2 = (0.03 * a.value_range()) * (0.03 * a.value_range());
+  const double n = static_cast<double>(wx * wy * wz);
+  double total = 0.0;
+  index_t count = 0;
+  for (index_t z0 = 0; z0 + wz <= d.nz; z0 += stride)
+    for (index_t y0 = 0; y0 + wy <= d.ny; y0 += stride)
+      for (index_t x0 = 0; x0 + wx <= d.nx; x0 += stride) {
+        double sa = 0, sb = 0, saa = 0, sbb = 0, sab = 0;
+        for (index_t k = 0; k < wz; ++k)
+          for (index_t j = 0; j < wy; ++j)
+            for (index_t i = 0; i < wx; ++i) {
+              const double va = a.at(x0 + i, y0 + j, z0 + k);
+              const double vb = b.at(x0 + i, y0 + j, z0 + k);
+              sa += va;
+              sb += vb;
+              saa += va * va;
+              sbb += vb * vb;
+              sab += va * vb;
+            }
+        const double ma = sa / n, mb = sb / n;
+        const double va = std::max(0.0, saa / n - ma * ma);
+        const double vb = std::max(0.0, sbb / n - mb * mb);
+        const double cov = sab / n - ma * mb;
+        total += ((2 * ma * mb + c1) * (2 * cov + c2)) /
+                 ((ma * ma + mb * mb + c1) * (va + vb + c2));
+        ++count;
+      }
+  return total / static_cast<double>(count);
+}
+
+TEST(Ssim, LaneInvariantAndEqualToSerialSum) {
+  const FieldF f = test::smooth_field({24, 20, 18}, 100.0);
+  FieldF noisy = f;
+  Rng rng(6);
+  for (index_t i = 0; i < noisy.size(); ++i)
+    noisy[i] += static_cast<float>(rng.normal(0.0, 5.0));
+
+  const double volume = ssim(f, noisy);
+  EXPECT_EQ(volume, test::on_pool_lane([&] { return ssim(f, noisy); }));
+  EXPECT_NEAR(volume, serial_ssim(f, noisy, 7, 7, 7, 2), 1e-12);
+
+  const double slice = ssim_central_slice(f, noisy);
+  EXPECT_EQ(slice, test::on_pool_lane([&] { return ssim_central_slice(f, noisy); }));
+  EXPECT_NEAR(slice, serial_ssim(central_slice_z(f), central_slice_z(noisy), 8, 8, 1, 1),
+              1e-12);
 }
 
 TEST(Fft, DeltaFunctionIsFlat) {

@@ -6,6 +6,7 @@
 #include "simdata/generators.h"
 #include "simdata/mini_nyx.h"
 #include "simdata/mini_warpx.h"
+#include "test_util.h"
 
 namespace mrc::sim {
 namespace {
@@ -16,6 +17,13 @@ TEST(Generators, GrfIsDeterministic) {
   const FieldF c = gaussian_random_field({16, 16, 16}, 3.0, 43);
   EXPECT_EQ(a, b);
   EXPECT_NE(a, c);
+}
+
+TEST(Generators, GrfIsLaneInvariant) {
+  const FieldF pooled = gaussian_random_field({32, 16, 8}, 3.0, 42);
+  EXPECT_EQ(pooled, test::on_pool_lane([] {
+              return gaussian_random_field({32, 16, 8}, 3.0, 42);
+            }));
 }
 
 TEST(Generators, GrfIsNormalized) {
@@ -127,6 +135,27 @@ TEST(MiniWarpX, RejectsUnstableCourant) {
   MiniWarpX::Params p;
   p.courant = 0.9;
   EXPECT_THROW(MiniWarpX{p}, ContractError);
+}
+
+TEST(MiniWarpX, RejectsGridsAndPeriodsItCannotStep) {
+  // The source plane z = 4 must be interior (nz >= 6), the stencil needs an
+  // interior in x and y, and the source period divides the phase.
+  for (const Dim3 dims : {Dim3{16, 16, 4}, Dim3{16, 16, 5}, Dim3{2, 16, 16},
+                          Dim3{16, 2, 16}}) {
+    MiniWarpX::Params p;
+    p.dims = dims;
+    EXPECT_THROW(MiniWarpX{p}, ContractError) << dims.nx << "x" << dims.ny << "x" << dims.nz;
+  }
+  MiniWarpX::Params p;
+  p.dims = {8, 8, 8};
+  p.source_period = 0;
+  EXPECT_THROW(MiniWarpX{p}, ContractError);
+
+  p.dims = {3, 3, 6};
+  p.source_period = 1;
+  MiniWarpX smallest(p);
+  for (int i = 0; i < 3; ++i) smallest.step();
+  EXPECT_EQ(smallest.current_step(), 3);
 }
 
 }  // namespace

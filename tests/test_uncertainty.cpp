@@ -84,6 +84,15 @@ TEST(ProbMc, ClosedFormMatchesMonteCarlo) {
   EXPECT_LT(max_diff, 0.05);  // ~4σ of the MC estimator at n=4000
 }
 
+TEST(ProbMc, LaneInvariant) {
+  const FieldF f = test::smooth_field({12, 10, 9}, 10.0);
+  const ErrorModel m{0.1, 2.0, 1000};
+  EXPECT_EQ(crossing_probability_mc(f, 0.0, m, 64, 5),
+            test::on_pool_lane([&] { return crossing_probability_mc(f, 0.0, m, 64, 5); }));
+  EXPECT_EQ(crossing_probability(f, 0.0, m),
+            test::on_pool_lane([&] { return crossing_probability(f, 0.0, m); }));
+}
+
 TEST(ProbMc, MeanShiftMatters) {
   // Corners at -1.5 and -0.5: without bias the cell sits fully below the
   // isovalue; a +1 error-model bias moves the upper corners across it.

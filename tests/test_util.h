@@ -4,8 +4,10 @@
 // error measurement.
 
 #include <cmath>
+#include <type_traits>
 
 #include "common/rng.h"
+#include "exec/thread_pool.h"
 #include "grid/field.h"
 
 namespace mrc::test {
@@ -67,6 +69,16 @@ inline double max_abs_err(const FieldF& a, const FieldF& b) {
   for (index_t i = 0; i < a.size(); ++i)
     m = std::max(m, std::abs(static_cast<double>(a[i]) - static_cast<double>(b[i])));
   return m;
+}
+
+/// Returns fn() as computed inside a single-lane pool's parallel_for, where
+/// exec::on_pool_lane() holds, so every exec::parallel_for that fn reaches
+/// takes its serial path.
+template <typename F>
+std::invoke_result_t<F> on_pool_lane(F fn) {
+  std::invoke_result_t<F> out{};
+  exec::ThreadPool(1).parallel_for(1, [&](index_t) { out = fn(); });
+  return out;
 }
 
 }  // namespace mrc::test

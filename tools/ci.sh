@@ -6,7 +6,8 @@
 # verify, then under UndefinedBehaviorSanitizer (<build-dir>-ubsan, every
 # report fatal), and finally run the concurrency-heavy suites (exec pool, tiled,
 # pyramid, serve-layer cache + prefetch, sharded entropy decode — the repo's
-# shared mutable state) under ThreadSanitizer (third preset, <build-dir>-tsan), then an
+# shared mutable state — plus the exec::parallel_for loops of the renderer,
+# metrics, filters, generators and uncertainty step) under ThreadSanitizer (third preset, <build-dir>-tsan), then an
 # observability smoke (traced `mrcc tiled` validated by
 # tools/check_trace_json.py, a traced `mrcc serve --flight` run whose trace
 # must stitch one request id across the wire/server/pool layers
@@ -82,15 +83,15 @@ UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1}" \
 
 if [ "${MRC_SKIP_TSAN:-0}" != "1" ]; then
   echo
-  echo "== ThreadSanitizer pass (exec / tiled / pyramid / serve / server / wire) =="
+  echo "== ThreadSanitizer pass (exec / tiled / pyramid / serve / server / wire / parallel loops) =="
   TSAN_DIR="${BUILD_DIR}-tsan"
   cmake -B "$TSAN_DIR" -S . -DMRC_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       > /dev/null
   cmake --build "$TSAN_DIR" -j"$(nproc)" --target mrc_tests > /dev/null
-  # Only the concurrency-bearing suites: the serial codec/metric suites add
+  # Only the concurrency-bearing suites: the serial codec suites add
   # nothing under TSan but multiply its ~10x slowdown.
   "$TSAN_DIR"/mrc_tests \
-      --gtest_filter='ThreadPool.*:Tiled*:Pyramid*:Progressive*:Serve*:Server*:Wire*:Adaptive*:Obs*:Sharded*:*RegionCoverage*'
+      --gtest_filter='ThreadPool.*:Tiled*:Pyramid*:Progressive*:Serve*:Server*:Wire*:Adaptive*:Obs*:Sharded*:*RegionCoverage*:VolumeRender*:Ssim*:Fft*:Spectrum*:ProbMc*:Filters*:Bezier*:Generators*:MiniWarpX*'
 fi
 
 if [ "${MRC_SKIP_OBS:-0}" != "1" ]; then
